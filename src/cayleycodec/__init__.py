@@ -5,12 +5,12 @@ from .dprm import (
     BranchEnergyOracle,
     MonteCarloStats,
     TreeShape,
-    branch_energy,
     free_energy_per_step,
     ground_state,
     internal_energy,
     log_partition_function,
     monte_carlo_free_energy,
+    run_trials,
     validate_walk,
     walk_from_leaf,
 )
@@ -18,6 +18,7 @@ from .model import (
     CodingDistribution,
     DistortionMatrix,
     EnergyDistribution,
+    Pmf,
     SourceModel,
     SymmetryError,
     SymmetryReport,

@@ -29,10 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="advisory worker count (trials are order-independent)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="preferred tabular output format (summaries are always JSON)")
     return parser
 
 

@@ -6,8 +6,8 @@ the leaf index j_n alone determines the whole walk.
 
 Energies are never materialized as a tree: each branch energy is a pure hash
 of (master_seed, i, j), so the sweeps below regenerate whole generations as
-vectorized batches.  All combining is done in the log domain (log-sum-exp),
-which keeps beta up to ~50 from underflowing.
+vectorized batches.  All combining is done in the log domain (a max-shifted
+log-sum-exp over each node's d children), so large beta does not underflow.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import EnergyDistribution
-from .rng import ENERGY_STREAM, uniforms
+from .rng import ENERGY_STREAM, TRIAL_STREAM, derive_seed, uniforms
 
 # An energy function maps a generation index i to the d^i branch energies of
 # that generation, in branch-index order.
@@ -36,13 +35,14 @@ class TreeShape:
     def __post_init__(self):
         if self.d < 1 or self.n < 1:
             raise ValueError("TreeShape: need d >= 1 and n >= 1")
-        total = sum(self.d**i for i in range(1, self.n + 1))
-        if total >= 1 << 63:
+        # d^n >= 2^64 rejects in O(1) before the exact count; n may come from a file
+        if (int(self.d).bit_length() - 1) * self.n >= 64 or self.num_branches >= 1 << 63:
             raise ValueError("TreeShape: branch count does not fit in 64 bits")
 
     @property
     def num_branches(self) -> int:
-        return sum(self.d**i for i in range(1, self.n + 1))
+        d, n = int(self.d), int(self.n)
+        return n if d == 1 else (d ** (n + 1) - d) // (d - 1)
 
     @property
     def num_walks(self) -> int:
@@ -104,31 +104,15 @@ class BranchEnergyOracle:
         return self.energy_dist.sample(uniforms(self.master_seed, ENERGY_STREAM, i, j))
 
 
-def branch_energy(oracle: BranchEnergyOracle, i: int, j: int) -> float:
-    return oracle.energy(i, j)
-
-
 # ---------------------------------------------------------------------------
 # generic bottom-up sweeps over a full balanced tree
-
-
-def tree_log_partition(energy_fn: EnergyFn, d: int, n: int, beta: float) -> float:
-    """ln Z = ln sum over walks of exp(-beta * path energy)."""
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    v = None
-    for i in range(n, 0, -1):
-        t = -beta * energy_fn(i)
-        if v is not None:
-            t = t + v
-        v = logsumexp(t.reshape(-1, d), axis=1)
-    return float(v[0])
 
 
 def tree_log_partition_and_mean_energy(
     energy_fn: EnergyFn, d: int, n: int, beta: float
 ) -> tuple[float, float]:
-    """(ln Z, Boltzmann-averaged path energy), one pass.
+    """(ln Z, Boltzmann-averaged path energy), one pass; ln Z is the log of
+    the sum over walks of exp(-beta * path energy).
 
     Propagates per-subtree (log partition, weighted mean energy) pairs up
     the tree; the mean combines children with their softmax weights.
@@ -145,10 +129,11 @@ def tree_log_partition_and_mean_energy(
             a = a + v
             me = me + m
         a = a.reshape(-1, d)
-        v_new = logsumexp(a, axis=1)
-        w = np.exp(a - v_new[:, None])
-        m = (w * me.reshape(-1, d)).sum(axis=1)
-        v = v_new
+        a_max = a.max(axis=1)
+        w = np.exp(a - a_max[:, None])
+        s = w.sum(axis=1)
+        v = a_max + np.log(s)
+        m = (w * me.reshape(-1, d)).sum(axis=1) / s
     return float(v[0]), float(m[0])
 
 
@@ -180,7 +165,9 @@ def tree_ground_state(energy_fn: EnergyFn, d: int, n: int) -> tuple[np.ndarray, 
 
 
 def log_partition_function(oracle: BranchEnergyOracle, beta: float) -> float:
-    return tree_log_partition(oracle.generation_energies, oracle.shape.d, oracle.shape.n, beta)
+    return tree_log_partition_and_mean_energy(
+        oracle.generation_energies, oracle.shape.d, oracle.shape.n, beta
+    )[0]
 
 
 def free_energy_per_step(oracle: BranchEnergyOracle, beta: float) -> float:
@@ -209,6 +196,17 @@ class MonteCarloStats:
     values: np.ndarray
 
 
+def run_trials(trial_fn: Callable[[int, int], float], trials: int, master_seed: int) -> MonteCarloStats:
+    """Runs trial_fn(t, seed) for t = 0..trials-1, where seed is the child seed
+    derived from (master_seed, t), so trials are independent and the
+    aggregate is insensitive to execution order."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    values = np.array([trial_fn(t, derive_seed(master_seed, TRIAL_STREAM, t)) for t in range(trials)])
+    std = float(values.std(ddof=1)) if trials > 1 else 0.0
+    return MonteCarloStats(mean=float(values.mean()), std=std, values=values)
+
+
 def monte_carlo_free_energy(
     shape: TreeShape,
     energy_dist: EnergyDistribution,
@@ -216,18 +214,9 @@ def monte_carlo_free_energy(
     trials: int,
     master_seed: int,
 ) -> MonteCarloStats:
-    """Independent disorder realizations of f_n(beta).
-
-    Trial t runs on a child seed derived from (master_seed, t), so trials are
-    independent and the aggregate is insensitive to execution order.
-    """
-    from .rng import TRIAL_STREAM, derive_seed
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    values = np.empty(trials)
-    for t in range(trials):
-        oracle = BranchEnergyOracle(derive_seed(master_seed, TRIAL_STREAM, t), energy_dist, shape)
-        values[t] = free_energy_per_step(oracle, beta)
-    std = float(values.std(ddof=1)) if trials > 1 else 0.0
-    return MonteCarloStats(mean=float(values.mean()), std=std, values=values)
+    """Independent disorder realizations of f_n(beta), one per trial seed."""
+    return run_trials(
+        lambda t, seed: free_energy_per_step(BranchEnergyOracle(seed, energy_dist, shape), beta),
+        trials,
+        master_seed,
+    )

@@ -78,7 +78,6 @@ class ExperimentConfig:
     trials: int = 1
     beam_width: int | None = None
     fixed_sequence: bool = False
-    out: str = "."
     x: list[int] | None = None
     bitstream: str | None = None
 
@@ -135,7 +134,6 @@ class ExperimentConfig:
             if cfg.beam_width < 1:
                 raise ConfigError("beam_width must be >= 1")
         cfg.fixed_sequence = bool(raw.get("fixed_sequence", False))
-        cfg.out = str(raw.get("out", "."))
         if "x" in raw:
             cfg.x = [int(v) for v in raw["x"]]
         if "bitstream" in raw:
@@ -167,8 +165,8 @@ def _write_summary(out_dir, name, payload) -> None:
         fh.write("\n")
 
 
-def _ensure_out(cfg: ExperimentConfig, out_dir: str | None) -> str:
-    out = out_dir or cfg.out
+def _ensure_out(out_dir: str | None) -> str:
+    out = out_dir or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -179,7 +177,7 @@ def run_dprm_converge(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     ns = cfg.n_list or [cfg.n]
     if not ns or ns[0] is None:
         raise ConfigError("dprm-converge: need shape.n or shape.n_list")
-    out = _ensure_out(cfg, out_dir)
+    out = _ensure_out(out_dir)
     rows = []
     for n in ns:
         for beta in cfg.betas:
@@ -210,7 +208,7 @@ def run_phase_scan(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     cfg.require("energy", "d", "betas")
     if len(cfg.betas) < 3:
         raise ConfigError("phase-scan: beta grid too small")
-    out = _ensure_out(cfg, out_dir)
+    out = _ensure_out(out_dir)
     limit = theory.FreeEnergyLimit.for_distribution(cfg.energy, cfg.d)
     betas = np.asarray(cfg.betas)
     transition = limit.frozen_phase_exists and betas[0] < limit.beta_c < betas[-1]
@@ -253,7 +251,7 @@ def _source_tuple(cfg: ExperimentConfig, n: int) -> np.ndarray:
 def run_encode(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Encode one source n-tuple and write the packed bitstream file."""
     cfg.require("coding", "distortion", "d", "n")
-    out = _ensure_out(cfg, out_dir)
+    out = _ensure_out(out_dir)
     shape = TreeShape(d=cfg.d, n=cfg.n)
     code = treecode.TreeCode(cfg.master_seed, cfg.coding, shape)
     x = _source_tuple(cfg, cfg.n)
@@ -284,7 +282,7 @@ def run_encode(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
 def run_decode(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Sequentially decode a bitstream file back into reproduction symbols."""
     cfg.require("coding", "bitstream")
-    out = _ensure_out(cfg, out_dir)
+    out = _ensure_out(out_dir)
     d, n, seed, stream = treecode.read_bitstream(cfg.bitstream)
     code = treecode.TreeCode(seed, cfg.coding, TreeShape(d=d, n=n))
     symbols = treecode.decode_sequential(code, stream)
@@ -302,8 +300,8 @@ def run_decode(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
 
 def run_rd_curve(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     cfg.require("source", "distortion", "betas")
-    out = _ensure_out(cfg, out_dir)
-    points = rd.sweep_curve(cfg.source, cfg.distortion, cfg.betas)
+    out = _ensure_out(out_dir)
+    points = [rd.blahut_arimoto(cfg.source, cfg.distortion, b) for b in cfg.betas]
     rd.export_curve(points, os.path.join(out, "rd_curve.csv"))
     _write_summary(out, "rd_curve_summary.json", {
         "kind": cfg.kind,
@@ -316,7 +314,7 @@ def run_rd_curve(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
 
 def run_ensemble(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     cfg.require("source", "coding", "distortion", "d", "n")
-    out = _ensure_out(cfg, out_dir)
+    out = _ensure_out(out_dir)
     stats = treecode.simulate_ensemble(
         cfg.source, cfg.coding, cfg.distortion,
         cfg.d, cfg.n, cfg.trials, cfg.master_seed,
@@ -344,7 +342,7 @@ def run_verify_theorem(cfg: ExperimentConfig, out_dir: str | None = None) -> int
     """Full pipeline: Q* via Blahut-Arimoto, symmetry gate, D0 vs D(R), and
     an ensemble gap trajectory over increasing n."""
     cfg.require("source", "distortion", "d")
-    out = _ensure_out(cfg, out_dir)
+    out = _ensure_out(out_dir)
     report = rd.verify_d0_equals_d(cfg.source, cfg.distortion, cfg.d)
     verdict = "PASS" if report.passed else "FAIL"
     rows = []

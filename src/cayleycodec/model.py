@@ -7,7 +7,7 @@ are pure, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp, ndtri
@@ -38,14 +38,21 @@ def _validated_pmf(probs, what: str) -> np.ndarray:
     return p
 
 
+def _inverse_transform(probs: np.ndarray, u) -> np.ndarray:
+    """Indices drawn by inverse transform from uniforms in (0,1).  The cumsum
+    can end a rounding error below 1, so the index is clamped to the support."""
+    return np.minimum(np.searchsorted(np.cumsum(probs), np.asarray(u), side="right"), probs.size - 1)
+
+
 @dataclass(frozen=True)
-class SourceModel:
-    """Discrete memoryless source over the index alphabet 0..|X|-1."""
+class Pmf:
+    """Probability mass function over the index alphabet 0..|A|-1: a
+    discrete memoryless source or a random-coding output distribution Q."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _validated_pmf(self.probs, "SourceModel"))
+        object.__setattr__(self, "probs", _validated_pmf(self.probs, "Pmf"))
 
     @property
     def alphabet_size(self) -> int:
@@ -53,24 +60,10 @@ class SourceModel:
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Inverse-transform letters from uniforms in (0,1)."""
-        return np.searchsorted(np.cumsum(self.probs), np.asarray(u), side="right").astype(np.int64)
+        return _inverse_transform(self.probs, u).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class CodingDistribution:
-    """Random-coding output distribution Q over the reproduction alphabet."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _validated_pmf(self.probs, "CodingDistribution"))
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.probs.size
-
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        return np.searchsorted(np.cumsum(self.probs), np.asarray(u), side="right").astype(np.int64)
+SourceModel = CodingDistribution = Pmf
 
 
 @dataclass(frozen=True)
@@ -136,14 +129,14 @@ class EnergyDistribution:
     std_param: float = 0.0
 
     @classmethod
-    def discrete(cls, values, probs, merge_tol: float = VALUE_MERGE_TOL) -> "EnergyDistribution":
+    def discrete(cls, values, probs) -> "EnergyDistribution":
         p = _validated_pmf(probs, "EnergyDistribution")
         v = np.asarray(values, dtype=np.float64)
         if v.shape != p.shape:
             raise ValueError("EnergyDistribution: values and probs must align")
         if not np.all(np.isfinite(v)):
             raise ValueError("EnergyDistribution: values must be finite")
-        v, p = _merge_atoms(v, p, merge_tol)
+        v, p = _merge_atoms(v, p)
         v.flags.writeable = False
         p.flags.writeable = False
         return cls(kind="discrete", values=v, probs=p)
@@ -160,10 +153,8 @@ class EnergyDistribution:
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Inverse-transform draws from uniforms in (0,1)."""
-        u = np.asarray(u)
         if self.kind == "discrete":
-            idx = np.searchsorted(np.cumsum(self.probs), u, side="right")
-            return self.values[np.minimum(idx, self.values.size - 1)]
+            return self.values[_inverse_transform(self.probs, u)]
         return self.mean_param + self.std_param * ndtri(u)
 
     def log_mgf(self, beta: float) -> float:

@@ -68,7 +68,9 @@ def blahut_arimoto(
             iterations=0,
             converged=True,
         )
-    expm = np.exp(-beta * rho.values)  # (|X|, |Y|)
+    # shifting each row by its minimum cancels in the row normalization and
+    # keeps exp from underflowing to an all-zero row at large beta
+    expm = np.exp(-beta * (rho.values - rho.values.min(axis=1, keepdims=True)))  # (|X|, |Y|)
     q = np.full(rho.cols, 1.0 / rho.cols)
     converged = False
     it = 0
@@ -211,15 +213,6 @@ def verify_d0_equals_d(
         q_star=q_star,
         detail="degenerate zero-distortion endpoint" if (degenerate or d0.degenerate) else "",
     )
-
-
-def sweep_curve(
-    P: SourceModel,
-    rho: DistortionMatrix,
-    betas,
-    tol: float = 1e-12,
-) -> list[RDPoint]:
-    return [blahut_arimoto(P, rho, float(b), tol=tol) for b in betas]
 
 
 def export_curve(points, path) -> None:

@@ -57,7 +57,8 @@ def hash64(*keys) -> np.ndarray:
 def uniforms(*keys) -> np.ndarray:
     """Uniform(0,1) variates, strictly inside the open interval."""
     h = hash64(*keys)
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    # the top hash would round up to exactly 1.0; clamp it to the largest double below 1
+    return np.minimum(((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
 
 
 def derive_seed(*keys) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dprm
-from .dprm import TreeShape, tree_ground_state, validate_walk
+from .dprm import TreeShape, run_trials, tree_ground_state, validate_walk
 from .model import (
     CodingDistribution,
     DistortionMatrix,
@@ -25,7 +25,7 @@ from .model import (
     SymmetryError,
     check_symmetry,
 )
-from .rng import CODEBOOK_STREAM, SOURCE_STREAM, TRIAL_STREAM, derive_seed, uniforms
+from .rng import CODEBOOK_STREAM, SOURCE_STREAM, uniforms
 
 _MAGIC = b"CAYCODE1"
 _HEADER = struct.Struct(">8sIIQ")  # magic, d, n, master_seed: 24 bytes
@@ -45,7 +45,8 @@ class TreeCode:
     coding_dist: CodingDistribution
     shape: TreeShape
 
-    def _symbols_at(self, t: int, j) -> np.ndarray:
+    def _symbols_at(self, t, j) -> np.ndarray:
+        """Letters on branches (t, j); t and j broadcast against each other."""
         u = uniforms(self.master_seed, CODEBOOK_STREAM, t, j)
         return self.coding_dist.sample(u)
 
@@ -97,9 +98,7 @@ def _check_source_tuple(code: TreeCode, x, rho: DistortionMatrix) -> np.ndarray:
 
 
 def _result_from_walk(code: TreeCode, x: np.ndarray, rho: DistortionMatrix, walk: np.ndarray) -> EncodingResult:
-    per = np.array(
-        [rho.values[x[t - 1], codeword_symbol(code, t, int(walk[t - 1]))] for t in range(1, code.shape.n + 1)]
-    )
+    per = rho.values[x, code._symbols_at(np.arange(1, code.shape.n + 1), walk)]
     return EncodingResult(walk=walk, total_distortion=float(per.sum()), per_symbol=per)
 
 
@@ -259,7 +258,7 @@ def decode_sequential(code: TreeCode, stream: Bitstream) -> np.ndarray:
 def reproduction(code: TreeCode, walk) -> np.ndarray:
     """Reproduction symbols along a walk, recomputed straight from the tree."""
     walk = validate_walk(walk, code.shape)
-    return np.array([codeword_symbol(code, t, int(walk[t - 1])) for t in range(1, code.shape.n + 1)])
+    return code._symbols_at(np.arange(1, code.shape.n + 1), walk)
 
 
 def write_bitstream(path, code: TreeCode, stream: Bitstream) -> None:
@@ -321,25 +320,22 @@ def simulate_ensemble(
     report = check_symmetry(Q, rho)
     if not report:
         raise SymmetryError(report.detail)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     shape = TreeShape(d=d, n=n)
     d0 = d0_of_r(Q, rho, math.log(d))
-    per_trial = np.empty(trials)
-    for t in range(trials):
+
+    def trial(t: int, seed: int) -> float:
         src_key = 0 if fixed_sequence else t
         x = source.sample(uniforms(master_seed, SOURCE_STREAM, src_key, np.arange(n, dtype=np.uint64)))
-        code = TreeCode(derive_seed(master_seed, TRIAL_STREAM, t), Q, shape)
-        per_trial[t] = encode_exact(code, x, rho).per_symbol_mean
-    std = float(per_trial.std(ddof=1)) if trials > 1 else 0.0
-    mean = float(per_trial.mean())
+        return encode_exact(TreeCode(seed, Q, shape), x, rho).per_symbol_mean
+
+    stats = run_trials(trial, trials, master_seed)
     return EnsembleStats(
-        per_trial_mean_distortion=per_trial,
-        mean=mean,
-        std=std,
+        per_trial_mean_distortion=stats.values,
+        mean=stats.mean,
+        std=stats.std,
         d0=d0.value,
         d0_degenerate=d0.degenerate,
-        gap=mean - d0.value,
+        gap=stats.mean - d0.value,
         n=n,
         d=d,
         trials=trials,

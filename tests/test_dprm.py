@@ -9,22 +9,22 @@ from bruteforce import (
     enumerate_log_partition,
     oracle_energies,
 )
+from exact_laws import tree_minimum_moments
 from cayleycodec import (
     BranchEnergyOracle,
     EnergyDistribution,
     TreeShape,
-    branch_energy,
     free_energy_per_step,
     ground_state,
     internal_energy,
     log_partition_function,
     monte_carlo_free_energy,
     phi,
+    run_trials,
     validate_walk,
 )
 from cayleycodec.dprm import (
     tree_ground_state,
-    tree_log_partition,
     tree_log_partition_and_mean_energy,
 )
 
@@ -47,6 +47,18 @@ def test_tree_shape_validation():
     assert TreeShape(d=2, n=3).num_walks == 8
 
 
+def test_tree_shape_bound_matches_branch_sum():
+    # the O(1) check must accept exactly the shapes whose summed branch count fits
+    for d in range(1, 12):
+        for n in range(1, 70):
+            total = sum(d**i for i in range(1, n + 1))
+            if total < 1 << 63:
+                assert TreeShape(d=d, n=n).num_branches == total
+            else:
+                with pytest.raises(ValueError):
+                    TreeShape(d=d, n=n)
+
+
 def test_walk_validation():
     shape = TreeShape(d=2, n=3)
     validate_walk([1, 3, 6], shape)
@@ -58,11 +70,11 @@ def test_walk_validation():
 
 def test_branch_energy_deterministic():
     o = BranchEnergyOracle(4242, GAUSS, TreeShape(d=2, n=4))
-    assert branch_energy(o, 3, 5) == branch_energy(o, 3, 5)
+    assert o.energy(3, 5) == o.energy(3, 5)
     with pytest.raises(ValueError):
-        branch_energy(o, 5, 0)
+        o.energy(5, 0)
     with pytest.raises(ValueError):
-        branch_energy(o, 2, 4)
+        o.energy(2, 4)
 
 
 def test_point_mass_energies_are_constant():
@@ -88,7 +100,7 @@ def test_gaussian_batch_statistics():
 
 def test_log_partition_single_chain():
     # d=1, energies (1,2,3), beta=1 -> ln Z = -6
-    lz = tree_log_partition(lambda i: chain_oracle([1.0, 2.0, 3.0])[i], 1, 3, 1.0)
+    lz = tree_log_partition_and_mean_energy(lambda i: chain_oracle([1.0, 2.0, 3.0])[i], 1, 3, 1.0)[0]
     assert lz == pytest.approx(-6.0, abs=1e-12)
 
 
@@ -120,7 +132,7 @@ def test_free_energy_per_step_sign_convention():
     o = BranchEnergyOracle(1, EnergyDistribution.point_mass(0.0), TreeShape(d=2, n=3))
     assert free_energy_per_step(o, 1.0) == pytest.approx(math.log(2), abs=1e-12)
     # d=1 chain: f = -(mean energy), independent of beta
-    f = tree_log_partition(lambda i: chain_oracle([1.0, 2.0, 3.0])[i], 1, 3, 2.0) / (3 * 2.0)
+    f = tree_log_partition_and_mean_energy(lambda i: chain_oracle([1.0, 2.0, 3.0])[i], 1, 3, 2.0)[0] / (3 * 2.0)
     assert f == pytest.approx(-2.0, abs=1e-12)
 
 
@@ -197,12 +209,12 @@ def test_log_partition_monotone_in_each_energy():
     rng = np.random.default_rng(0)
     d, n, beta = 2, 3, 1.2
     base = {i: rng.normal(size=d**i) for i in range(1, n + 1)}
-    lz0 = tree_log_partition(lambda i: base[i], d, n, beta)
+    lz0 = tree_log_partition_and_mean_energy(lambda i: base[i], d, n, beta)[0]
     for i in range(1, n + 1):
         for j in range(d**i):
             bumped = {k: v.copy() for k, v in base.items()}
             bumped[i][j] += 0.5
-            lz1 = tree_log_partition(lambda i: bumped[i], d, n, beta)
+            lz1 = tree_log_partition_and_mean_energy(lambda i: bumped[i], d, n, beta)[0]
             assert lz1 < lz0
 
 
@@ -237,3 +249,15 @@ def test_monte_carlo_single_trial_equals_direct():
 def test_monte_carlo_matches_annealed_curve():
     stats = monte_carlo_free_energy(TreeShape(d=2, n=16), GAUSS, 0.5, 50, 2024)
     assert abs(stats.mean - phi(GAUSS, 2, 0.5)) < 0.05
+
+
+def test_ground_state_mean_matches_exact_minimum_law():
+    values, probs, d, n, trials = [0.0, 1.0, 2.0], [0.2, 0.5, 0.3], 2, 12, 200
+    dist = EnergyDistribution.discrete(values, probs)
+    stats = run_trials(
+        lambda t, seed: ground_state(BranchEnergyOracle(seed, dist, TreeShape(d=d, n=n)))[1],
+        trials,
+        31415,
+    )
+    means, sds = tree_minimum_moments(values, probs, d, n)
+    assert abs(stats.mean - means[n]) <= 3 * sds[n] / math.sqrt(trials)

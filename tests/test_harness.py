@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -179,6 +181,22 @@ def test_rd_curve_cli(tmp_path):
     assert len(lines) == 4
 
 
+def test_rd_curve_cli_large_beta_without_zero_distortion(tmp_path):
+    # no row of rho has a zero entry, so exp(-beta * rho) underflows unshifted
+    cfg = write_config(tmp_path, {
+        "kind": "rd-curve",
+        "master_seed": 1,
+        "models": {"source": {"probs": [0.5, 0.5]}, "distortion": {"rows": [[1, 2], [2, 1]]}},
+        "beta_grid": [1.0, 800.0],
+    })
+    out = str(tmp_path / "out")
+    assert main(["rd-curve", "--config", cfg, "--out", out]) == 0
+    row = (tmp_path / "out" / "rd_curve.csv").read_text().strip().splitlines()[-1].split(",")
+    assert float(row[0]) == 800.0
+    assert float(row[2]) == pytest.approx(1.0, abs=1e-9)  # R_bits
+    assert float(row[3]) == pytest.approx(1.0, abs=1e-9)  # D
+
+
 def test_verify_theorem_pass_and_exit_codes(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "kind": "verify-theorem",
@@ -234,6 +252,20 @@ def test_cli_error_paths(tmp_path, capsys):
     cfg = write_config(tmp_path, converge_config())
     # subcommand/config kind mismatch
     assert main(["phase-scan", "--config", cfg]) == 1
+
+
+def test_cli_decode_rejects_huge_header_n_fast(tmp_path):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(struct.pack(">8sIIQ", b"CAYCODE1", 2, (1 << 32) - 1, 7))
+    cfg = write_config(tmp_path, {
+        "kind": "decode",
+        "master_seed": 7,
+        "models": {"coding": {"probs": [0.5, 0.5]}},
+        "bitstream": str(path),
+    })
+    start = time.perf_counter()
+    assert main(["decode", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 5.0
 
 
 def test_cli_seed_override(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cayleycodec import (
     CodingDistribution,
+    Pmf,
     DistortionMatrix,
     EnergyDistribution,
     SourceModel,
@@ -21,6 +22,26 @@ def test_source_model_validates_and_renormalizes():
         SourceModel([0.5, 0.6])
     with pytest.raises(ValueError):
         SourceModel([-0.1, 1.1])
+
+
+def test_pmf_sample_never_leaves_the_alphabet():
+    assert SourceModel is CodingDistribution is Pmf
+    p = Pmf([0.1] * 10)
+    # the cumsum ends just below 1, so u in [cumsum[-1], 1) lies past it
+    assert p.sample(np.cumsum(p.probs)[-1]) == 9
+    assert list(p.sample([0.05, 0.9999999999999999])) == [0, 9]
+
+
+def test_uniforms_stay_below_one(monkeypatch):
+    from cayleycodec import rng
+
+    top = np.uint64((1 << 64) - 1)
+    monkeypatch.setattr(rng, "hash64", lambda *keys: np.full(3, top))
+    u = rng.uniforms(1, 2, np.arange(3))
+    assert np.all(u < 1.0)
+    assert np.all(np.isfinite(EnergyDistribution.gaussian(0.0, 1.0).sample(u)))
+    monkeypatch.setattr(rng, "hash64", lambda *keys: top)
+    assert rng.uniforms(1, 2, 3) < 1.0
 
 
 def test_distortion_matrix_rejects_bad_entries():

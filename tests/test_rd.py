@@ -12,7 +12,7 @@ from cayleycodec import (
     rd_point_parametric,
     verify_d0_equals_d,
 )
-from cayleycodec.rd import export_curve, sweep_curve
+from cayleycodec.rd import export_curve
 
 
 def h_nats(p):
@@ -129,7 +129,7 @@ def test_sweep_monotone_and_qstar_uniform():
     P = SourceModel([0.25] * 4)
     rho = DistortionMatrix.hamming(4)
     betas = np.linspace(0.2, 5.0, 30)
-    points = sweep_curve(P, rho, betas)
+    points = [blahut_arimoto(P, rho, float(b)) for b in betas]
     Rs = np.array([p.R for p in points])
     Ds = np.array([p.D for p in points])
     assert np.all(np.diff(Rs) >= -1e-9)
@@ -205,7 +205,7 @@ def test_d0_sandwiches_d_within_tolerance():
 def test_export_curve_csv(tmp_path):
     P = SourceModel([0.5, 0.5])
     rho = DistortionMatrix.hamming(2)
-    points = sweep_curve(P, rho, [0.5, 1.0, 2.0])
+    points = [blahut_arimoto(P, rho, b) for b in [0.5, 1.0, 2.0]]
     path = tmp_path / "curve.csv"
     export_curve(points, path)
     lines = path.read_text().strip().splitlines()
