@@ -33,7 +33,6 @@ from .treecode import (
     EnsembleStats,
     TreeCode,
     codeword_symbol,
-    decode_incremental,
     decode_sequential,
     encode_beam,
     encode_exact,

@@ -46,32 +46,28 @@ class TreeShape:
 
     @property
     def num_walks(self) -> int:
-        return self.d**self.n
+        return int(self.d) ** int(self.n)
 
 
 def validate_walk(steps, shape: TreeShape) -> np.ndarray:
-    """Check the parent-child index constraint and return the walk array."""
+    """Check the parent-child index constraint and return the walk array: a
+    walk is valid iff it is the walk of its own leaf index."""
     w = np.asarray(steps, dtype=np.int64)
     if w.shape != (shape.n,):
         raise ValueError(f"walk must have {shape.n} steps")
-    if not (0 <= w[0] <= shape.d - 1):
-        raise ValueError("walk: first step out of range")
-    for i in range(shape.n - 1):
-        if not (shape.d * w[i] <= w[i + 1] <= shape.d * w[i] + shape.d - 1):
-            raise ValueError(f"walk: step {i + 2} is not a child of step {i + 1}")
+    if not (0 <= w[-1] < shape.num_walks):
+        raise ValueError("walk: leaf index out of range")
+    wrong = np.flatnonzero(w != walk_from_leaf(int(w[-1]), shape))
+    if wrong.size:
+        raise ValueError(f"walk: step {wrong[0] + 1} is not an ancestor of the leaf")
     return w
 
 
 def walk_from_leaf(leaf: int, shape: TreeShape) -> np.ndarray:
-    """The unique walk ending at the given leaf index."""
+    """The unique walk ending at the given leaf index: j_t = leaf // d^(n-t)."""
     if not (0 <= leaf < shape.num_walks):
         raise ValueError("leaf index out of range")
-    w = np.empty(shape.n, dtype=np.int64)
-    j = leaf
-    for i in range(shape.n - 1, -1, -1):
-        w[i] = j
-        j //= shape.d
-    return w
+    return np.int64(leaf) // shape.d ** np.arange(shape.n - 1, -1, -1, dtype=np.int64)
 
 
 @dataclass(frozen=True)

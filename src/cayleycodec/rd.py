@@ -20,7 +20,10 @@ from .model import (
     SymmetryError,
     check_symmetry,
 )
-from .theory import D0Result, d0_of_r
+from .theory import BETA_MAX, D0Result, d0_of_r
+
+# rate accuracy (nats) of the slope bisection in verify_d0_equals_d
+R_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -136,32 +139,26 @@ class TheoremReport:
     detail: str = ""
 
 
-def _solve_beta_for_rate(
-    P: SourceModel,
-    rho: DistortionMatrix,
-    r_target: float,
-    r_tol: float = 1e-8,
-    beta_cap: float = 1e4,
-) -> tuple[float, RDPoint, bool]:
-    """Bisect the slope so the Blahut-Arimoto rate hits r_target.
+def _solve_beta_for_rate(P: SourceModel, rho: DistortionMatrix, r_target: float) -> tuple[float, RDPoint, bool]:
+    """Bisect the slope so the Blahut-Arimoto rate hits r_target within R_TOL.
 
     R(beta) is nondecreasing, so plain bisection on an expandable bracket is
-    safe.  If the rate still falls short at beta_cap the target sits at the
+    safe.  If the rate still falls short at BETA_MAX the target sits at the
     curve's zero-distortion endpoint; the cap point is returned with a
     degenerate flag.
     """
     lo, hi = 1e-4, 50.0
     point_hi = blahut_arimoto(P, rho, hi)
-    while point_hi.R < r_target - r_tol:
+    while point_hi.R < r_target - R_TOL:
         hi *= 4.0
-        if hi > beta_cap:
-            return beta_cap, blahut_arimoto(P, rho, beta_cap), True
+        if hi > BETA_MAX:
+            return BETA_MAX, blahut_arimoto(P, rho, BETA_MAX), True
         point_hi = blahut_arimoto(P, rho, hi)
     point = point_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         point = blahut_arimoto(P, rho, mid)
-        if abs(point.R - r_target) <= r_tol:
+        if abs(point.R - r_target) <= R_TOL:
             return mid, point, False
         if point.R < r_target:
             lo = mid

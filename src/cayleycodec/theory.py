@@ -119,12 +119,7 @@ class D0Result:
         return self.value
 
 
-def d0_of_r(
-    Q: CodingDistribution,
-    rho: DistortionMatrix,
-    R: float,
-    tol: float = 1e-9,
-) -> D0Result:
+def d0_of_r(Q: CodingDistribution, rho: DistortionMatrix, R: float) -> D0Result:
     """Almost-sure per-letter distortion of the random tree-code ensemble,
     max over beta > 0 of -(log-MGF of rho(x,Y) + R) / beta = -phi(beta_c).
 
@@ -137,7 +132,7 @@ def d0_of_r(
         raise SymmetryError(report.detail)
     d_real = math.exp(R)
     d = round(d_real)
-    if d < 2 or abs(d_real - d) > tol * max(1.0, d):
+    if d < 2 or abs(d_real - d) > 1e-9 * max(1.0, d):
         raise ValueError(f"R={R!r} is not ln(d) for an integer d >= 2")
     dist = induced_energy_distribution(Q, rho, 0)
     limit = FreeEnergyLimit.for_distribution(dist, d)

@@ -4,8 +4,8 @@ The codebook is a Cayley tree whose branch (t, j) carries an i.i.d.
 reproduction letter drawn under Q; encoding a source n-tuple means finding
 the walk minimizing the summed per-letter distortion, which is exactly the
 ground state of a directed polymer whose branch energies are
-rho(x_t, Y_branch).  The walk is shipped as raw branch indices, log2(d)
-bits each, and the decoder replays it one symbol per step.
+rho(x_t, Y_branch).  The walk is shipped as its leaf index j_n, which fixes
+the whole path, and the decoder reads every letter off that one index.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dprm
-from .dprm import TreeShape, run_trials, tree_ground_state, validate_walk
+from .dprm import TreeShape, run_trials, tree_ground_state, validate_walk, walk_from_leaf
 from .model import (
     CodingDistribution,
     DistortionMatrix,
@@ -151,7 +150,7 @@ def encode_beam(code: TreeCode, x, rho: DistortionMatrix, M: int) -> EncodingRes
         leaf, dist = _beam_pass(code, x, rho, width)
         if dist < best_dist - 1e-15 or (abs(dist - best_dist) <= 1e-15 and leaf < best_leaf):
             best_leaf, best_dist = leaf, dist
-    walk = dprm.walk_from_leaf(best_leaf, code.shape)
+    walk = walk_from_leaf(best_leaf, code.shape)
     return _result_from_walk(code, x, rho, walk)
 
 
@@ -161,8 +160,9 @@ def encode_beam(code: TreeCode, x, rho: DistortionMatrix, M: int) -> EncodingRes
 
 @dataclass(frozen=True)
 class Bitstream:
-    """Packed walk indices: n symbols at branching d, MSB-first within each
-    byte, final partial byte zero-padded."""
+    """A walk packed as its leaf index j_n: big-endian in ceil(n*log2(d))
+    bits, left-aligned and zero-padded to whole bytes.  For power-of-two d
+    these bits are the log2(d)-bit child indices j_t - d*j_(t-1) in order."""
 
     data: bytes
     n: int
@@ -170,89 +170,45 @@ class Bitstream:
 
     @property
     def num_bits(self) -> int:
-        if self.d & (self.d - 1) == 0:
-            return self.n * (self.d.bit_length() - 1)
-        return (self.d**self.n - 1).bit_length()
-
-
-def _relative_indices(walk: np.ndarray, d: int) -> np.ndarray:
-    prev = np.concatenate(([0], walk[:-1]))
-    return walk - d * prev
+        # the shape check rejects a huge n in O(1) before d**n is computed
+        return (TreeShape(d=self.d, n=self.n).num_walks - 1).bit_length()
 
 
 def pack(walk, d: int) -> Bitstream:
-    """Walk -> bits.  Power-of-two d: each relative child index as log2(d)
-    raw bits.  Otherwise the relative indices form a base-d integer packed
-    into ceil(n*log2(d)) bits."""
-    walk = np.asarray(walk, dtype=np.int64)
-    n = walk.size
-    shape = TreeShape(d=d, n=n)
-    validate_walk(walk, shape)
-    rel = _relative_indices(walk, d)
-    if d & (d - 1) == 0:
-        k = d.bit_length() - 1
-        nbits = n * k
-        value = 0
-        for r in rel:
-            value = (value << k) | int(r)
-    else:
-        nbits = (d**n - 1).bit_length()
-        value = 0
-        for r in rel:
-            value = value * d + int(r)
+    """Walk -> bits: its leaf index, left-aligned in num_bits bits."""
+    walk = validate_walk(walk, TreeShape(d=d, n=np.size(walk)))
+    nbits = Bitstream(data=b"", n=walk.size, d=d).num_bits
     nbytes = (nbits + 7) // 8
-    value <<= nbytes * 8 - nbits  # left-align: MSB-first, zero pad at the end
-    return Bitstream(data=value.to_bytes(nbytes, "big"), n=n, d=d)
+    value = int(walk[-1]) << (nbytes * 8 - nbits)
+    return Bitstream(data=value.to_bytes(nbytes, "big"), n=walk.size, d=d)
 
 
 def unpack(stream: Bitstream) -> np.ndarray:
-    """Bits -> walk (absolute branch indices); exact inverse of pack."""
-    return np.fromiter(_iter_walk(stream), dtype=np.int64, count=stream.n)
-
-
-def _iter_walk(stream: Bitstream):
-    """Yield absolute walk indices one step at a time.
-
-    For power-of-two d each step consumes its own log2(d) bits, so step t is
-    known before the bits of step t+1; for other d the whole base-d integer
-    must be read first.
-    """
-    n, d = stream.n, stream.d
+    """Bits -> walk; the exact inverse of pack.  A wrong byte length, nonzero
+    pad bits and a leaf index >= d^n are rejected, so every accepted payload
+    is the pack of the walk returned."""
     nbits = stream.num_bits
-    if len(stream.data) != (nbits + 7) // 8:
+    nbytes = (nbits + 7) // 8
+    if len(stream.data) != nbytes:
         raise ValueError(
-            f"bitstream has {len(stream.data)} bytes, expected {(nbits + 7) // 8} for (d={d}, n={n})"
+            f"bitstream has {len(stream.data)} bytes, expected {nbytes} for (d={stream.d}, n={stream.n})"
         )
-    value = int.from_bytes(stream.data, "big") >> (len(stream.data) * 8 - nbits)
-    j = 0
-    if d & (d - 1) == 0:
-        k = d.bit_length() - 1
-        for t in range(1, n + 1):
-            r = (value >> (nbits - k * t)) & (d - 1)
-            j = d * j + r
-            yield j
-    else:
-        rel = []
-        for _ in range(n):
-            value, r = divmod(value, d)
-            rel.append(r)
-        for r in reversed(rel):
-            j = d * j + r
-            yield j
-
-
-def decode_incremental(code: TreeCode, stream: Bitstream):
-    """Delayless sequential decoder: yields reproduction symbol t as soon as
-    the walk prefix (j_1..j_t) is recovered."""
-    if (stream.d, stream.n) != (code.shape.d, code.shape.n):
-        raise ValueError("bitstream (d, n) does not match the code")
-    for t, j in enumerate(_iter_walk(stream), start=1):
-        yield codeword_symbol(code, t, j)
+    pad = nbytes * 8 - nbits
+    value = int.from_bytes(stream.data, "big")
+    if value & ((1 << pad) - 1):
+        raise ValueError("bitstream: nonzero pad bits")
+    return walk_from_leaf(value >> pad, TreeShape(d=stream.d, n=stream.n))
 
 
 def decode_sequential(code: TreeCode, stream: Bitstream) -> np.ndarray:
-    """The full reproduction n-tuple from the incremental decoder."""
-    return np.fromiter(decode_incremental(code, stream), dtype=np.int64, count=stream.n)
+    """The reproduction n-tuple of a bitstream.
+
+    Decoding adds no delay: symbol t depends on j_t alone, and for
+    power-of-two d the first t*log2(d) bits of the stream fix j_t.
+    """
+    if (stream.d, stream.n) != (code.shape.d, code.shape.n):
+        raise ValueError("bitstream (d, n) does not match the code")
+    return reproduction(code, unpack(stream))
 
 
 def reproduction(code: TreeCode, walk) -> np.ndarray:
@@ -277,6 +233,8 @@ def read_bitstream(path) -> tuple[int, int, int, Bitstream]:
     magic, d, n, seed = _HEADER.unpack(raw[:HEADER_SIZE])
     if magic != _MAGIC:
         raise ValueError("not a tree-code bitstream file")
+    if d < 2:
+        raise ValueError(f"bitstream header has d={d}; a tree code needs d >= 2")
     return d, n, seed, Bitstream(data=raw[HEADER_SIZE:], n=n, d=d)
 
 

@@ -254,9 +254,10 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["phase-scan", "--config", cfg]) == 1
 
 
-def test_cli_decode_rejects_huge_header_n_fast(tmp_path):
+@pytest.mark.parametrize("d", [1, 2])
+def test_cli_decode_rejects_huge_header_n_fast(tmp_path, d):
     path = tmp_path / "huge.bin"
-    path.write_bytes(struct.pack(">8sIIQ", b"CAYCODE1", 2, (1 << 32) - 1, 7))
+    path.write_bytes(struct.pack(">8sIIQ", b"CAYCODE1", d, (1 << 32) - 1, 7))
     cfg = write_config(tmp_path, {
         "kind": "decode",
         "master_seed": 7,

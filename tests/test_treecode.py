@@ -15,7 +15,6 @@ from cayleycodec import (
     TreeCode,
     TreeShape,
     codeword_symbol,
-    decode_incremental,
     decode_sequential,
     encode_beam,
     encode_exact,
@@ -194,6 +193,7 @@ def test_pack_length_non_power_of_two():
     shape = TreeShape(d=3, n=4)
     stream = pack(walk_from_leaf(53, shape), 3)
     assert stream.num_bits == 7  # ceil(4 * log2(3))
+    assert stream.data == bytes([0x6A])  # leaf 53 = 0b0110101, left-aligned
 
 
 @settings(max_examples=200, deadline=None)
@@ -209,13 +209,56 @@ def test_pack_unpack_round_trip(data):
     assert list(unpack(stream)) == list(walk)
     expected_bits = n * (d.bit_length() - 1) if d & (d - 1) == 0 else (d**n - 1).bit_length()
     assert stream.num_bits == expected_bits
+    pad = len(stream.data) * 8 - expected_bits
+    assert int.from_bytes(stream.data, "big") >> pad == leaf
 
 
 def test_unpack_rejects_malformed_length():
     stream = pack(np.array([0, 1, 3]), 2)
-    bad = Bitstream(data=stream.data + b"\x00", n=3, d=2)
-    with pytest.raises(ValueError):
-        unpack(bad)
+    bad = [
+        Bitstream(data=stream.data + b"\x00", n=3, d=2),
+        Bitstream(data=b"\xff", n=2, d=3),  # nonzero pad bits
+        Bitstream(data=b"\xf0", n=2, d=3),  # leaf 15 >= 3^2
+        Bitstream(data=b"\x61", n=3, d=2),  # nonzero pad bit
+    ]
+    for stream in bad:
+        with pytest.raises(ValueError):
+            unpack(stream)
+
+
+def _draw_payload(data) -> tuple[int, int, bytes]:
+    """A random (d, n) and random bytes of the payload length for it, +-1."""
+    d = data.draw(st.sampled_from([2, 3, 4, 5, 8]))
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    nbytes = ((d**n - 1).bit_length() + 7) // 8
+    size = data.draw(st.integers(min_value=nbytes - 1, max_value=nbytes + 1))
+    return d, n, data.draw(st.binary(min_size=size, max_size=size))
+
+
+def _unpack_or_reject(stream: Bitstream) -> None:
+    """unpack either raises ValueError or returns a walk that packs back to the same bytes."""
+    try:
+        walk = unpack(stream)
+    except ValueError:
+        return
+    assert pack(walk, stream.d).data == stream.data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_unpack_random_payloads_reject_or_round_trip(data):
+    d, n, payload = _draw_payload(data)
+    _unpack_or_reject(Bitstream(data=payload, n=n, d=d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_read_bitstream_random_payloads_reject_or_round_trip(tmp_path_factory, data):
+    d, n, payload = _draw_payload(data)
+    path = tmp_path_factory.mktemp("fuzz") / "stream.bin"
+    write_bitstream(path, make_code(1, d, n), Bitstream(data=payload, n=n, d=d))
+    _, _, _, stream = read_bitstream(path)
+    _unpack_or_reject(stream)
 
 
 def test_decode_round_trip():
@@ -244,8 +287,8 @@ def test_decode_matches_independent_recomputation():
 def test_decode_is_pure():
     code = make_code(9, 2, 6)
     stream = pack(walk_from_leaf(37, code.shape), 2)
-    a = list(decode_incremental(code, stream))
-    b = list(decode_incremental(code, stream))
+    a = list(decode_sequential(code, stream))
+    b = list(decode_sequential(code, stream))
     assert a == b
 
 
