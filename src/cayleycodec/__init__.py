@@ -21,9 +21,7 @@ from .model import (
     Pmf,
     SourceModel,
     SymmetryError,
-    SymmetryReport,
-    check_symmetry,
-    induced_energy_distribution,
+    symmetric_energy_law,
 )
 from .rd import RDPoint, TheoremReport, blahut_arimoto, rd_point_parametric, verify_d0_equals_d
 from .theory import D0Result, FreeEnergyLimit, beta_c, d0_of_r, f_limit, log_mgf, phi

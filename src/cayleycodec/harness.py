@@ -88,6 +88,13 @@ class ExperimentConfig:
             raise ConfigError(f"experiment kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
         if "master_seed" not in raw:
             raise ConfigError("master_seed is mandatory (no wall-clock seeding)")
+        try:
+            return cls._parse(kind, raw)
+        except (TypeError, KeyError, AttributeError, OverflowError) as exc:
+            raise ConfigError(f"malformed config: {type(exc).__name__}: {exc}") from exc
+
+    @classmethod
+    def _parse(cls, kind: str, raw: dict) -> "ExperimentConfig":
         seed = int(raw["master_seed"])
         if not (0 <= seed < 1 << 64):
             raise ConfigError("master_seed must be an unsigned 64-bit integer")
@@ -119,10 +126,12 @@ class ExperimentConfig:
                 cfg.betas = [float(v) for v in g]
             else:
                 start, stop, step = float(g["start"]), float(g["stop"]), float(g["step"])
-                if step <= 0 or stop <= start:
-                    raise ConfigError("beta_grid needs step > 0 and stop > start")
+                if not (step > 0 and stop > start and math.isfinite(stop - start)):
+                    raise ConfigError("beta_grid needs finite bounds, step > 0 and stop > start")
                 count = int(round((stop - start) / step)) + 1
                 cfg.betas = [start + k * step for k in range(count)]
+        if not all(math.isfinite(b) for b in cfg.betas):
+            raise ConfigError("beta values must be finite")
         if any(b <= 0 for b in cfg.betas) and kind != "rd-curve":
             raise ConfigError("beta values must be > 0")
 
@@ -178,13 +187,14 @@ def run_dprm_converge(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     if not ns or ns[0] is None:
         raise ConfigError("dprm-converge: need shape.n or shape.n_list")
     out = _ensure_out(out_dir)
+    limit = theory.FreeEnergyLimit.for_distribution(cfg.energy, cfg.d)
     rows = []
     for n in ns:
         for beta in cfg.betas:
             stats = monte_carlo_free_energy(
                 TreeShape(d=cfg.d, n=n), cfg.energy, beta, cfg.trials, cfg.master_seed
             )
-            flim = theory.f_limit(cfg.energy, cfg.d, beta)
+            flim = limit.f(beta)
             rows.append((n, beta, stats.mean, stats.std, flim, stats.mean - flim))
     _write_csv(
         os.path.join(out, "dprm_converge.csv"),

@@ -17,6 +17,10 @@ PROB_TOL = 1e-12
 # building induced energy distributions; avoids spurious symmetry failures
 # from floating-point representations of equal rational entries.
 VALUE_MERGE_TOL = 1e-9
+# One gate for the symmetry hypothesis, shared by every caller.  A
+# Blahut-Arimoto Q* is symmetric only to its convergence accuracy, and D0
+# moves continuously with Q, so a near-symmetric Q* must pass here.
+SYMMETRY_TOL = 1e-6
 
 
 class SymmetryError(ValueError):
@@ -143,8 +147,8 @@ class EnergyDistribution:
 
     @classmethod
     def gaussian(cls, mean: float, std: float) -> "EnergyDistribution":
-        if not (std > 0):
-            raise ValueError("EnergyDistribution: Gaussian std must be > 0")
+        if not (np.isfinite(mean) and 0 < std < np.inf):
+            raise ValueError("EnergyDistribution: Gaussian mean and std must be finite, std > 0")
         return cls(kind="gaussian", mean_param=float(mean), std_param=float(std))
 
     @classmethod
@@ -190,61 +194,29 @@ class EnergyDistribution:
         return self.mean_param
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    symmetric: bool
-    detail: str = ""
-    offending_rows: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.symmetric
-
-
-def induced_energy_distribution(
-    Q: CodingDistribution, rho: DistortionMatrix, x: int
-) -> EnergyDistribution:
-    """Distribution of rho(x, Y) with Y ~ Q, duplicate values merged.
-
-    These are exactly the branch energies of the tree-code partition
-    function; under symmetry the result does not depend on x.
+def symmetric_energy_law(Q: CodingDistribution, rho: DistortionMatrix) -> EnergyDistribution:
+    """Common law of the branch energy rho(x, Y), Y ~ Q, over every source
+    letter x: the hypothesis under which the tree-code ensemble meets the
+    distortion-rate function.  Each row's merged value->mass map must match
+    row 0's, values and masses within SYMMETRY_TOL, or SymmetryError says
+    where they differ.
     """
     if Q.alphabet_size != rho.cols:
         raise ValueError("coding distribution and distortion matrix disagree on |Y|")
-    if not (0 <= x < rho.rows):
-        raise ValueError(f"source letter {x} out of range")
-    return EnergyDistribution.discrete(rho.values[x], Q.probs)
-
-
-def check_symmetry(
-    Q: CodingDistribution, rho: DistortionMatrix, tol: float = VALUE_MERGE_TOL
-) -> SymmetryReport:
-    """Does rho(x, Y), Y ~ Q, have the same law for every source letter x?
-
-    Compares the merged value->mass maps of each row against row 0; values
-    within tol of each other count as the same atom and masses must agree
-    within tol.  This is the hypothesis under which the tree-code ensemble
-    meets the distortion-rate function.
-    """
-    if Q.alphabet_size != rho.cols:
-        raise ValueError("coding distribution and distortion matrix disagree on |Y|")
-    ref_v, ref_p = _merge_atoms(rho.values[0], Q.probs, tol)
+    ref_v, ref_p = _merge_atoms(rho.values[0], Q.probs, SYMMETRY_TOL)
     for x in range(1, rho.rows):
-        v, p = _merge_atoms(rho.values[x], Q.probs, tol)
+        v, p = _merge_atoms(rho.values[x], Q.probs, SYMMETRY_TOL)
         if v.size != ref_v.size:
-            return SymmetryReport(
-                False,
-                f"rows 0 and {x} induce {ref_v.size} vs {v.size} distinct distortion values",
-                (0, x),
+            raise SymmetryError(
+                f"rows 0 and {x} induce {ref_v.size} vs {v.size} distinct distortion values"
             )
         dv = np.abs(v - ref_v)
         dp = np.abs(p - ref_p)
-        if np.any(dv > tol) or np.any(dp > tol):
-            k = int(np.argmax(np.maximum(dv / max(tol, 1e-300), dp)))
-            return SymmetryReport(
-                False,
+        if np.any(dv > SYMMETRY_TOL) or np.any(dp > SYMMETRY_TOL):
+            k = int(np.argmax(np.maximum(dv / SYMMETRY_TOL, dp)))
+            raise SymmetryError(
                 f"rows 0 and {x} disagree at atom {k}: "
                 f"value {ref_v[k]:.6g} mass {ref_p[k]:.6g} vs "
-                f"value {v[k]:.6g} mass {p[k]:.6g}",
-                (0, x),
+                f"value {v[k]:.6g} mass {p[k]:.6g}"
             )
-    return SymmetryReport(True, "induced distortion law identical across source letters")
+    return EnergyDistribution.discrete(rho.values[0], Q.probs)

@@ -14,16 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    CodingDistribution,
-    DistortionMatrix,
-    SourceModel,
-    SymmetryError,
-    check_symmetry,
+    CodingDistribution, DistortionMatrix, SourceModel, SymmetryError, symmetric_energy_law
 )
 from .theory import BETA_MAX, D0Result, d0_of_r
 
 # rate accuracy (nats) of the slope bisection in verify_d0_equals_d
 R_TOL = 1e-8
+# largest |D0(ln d) - D(ln d)| that verify_d0_equals_d calls a pass
+D0_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -103,24 +101,16 @@ def blahut_arimoto(
 
 
 def rd_point_parametric(
-    P: SourceModel,
-    Q_star: CodingDistribution,
-    rho: DistortionMatrix,
-    beta: float,
+    Q_star: CodingDistribution, rho: DistortionMatrix, beta: float
 ) -> tuple[float, float]:
     """(R, D) at slope beta from the single-letter representation
     D = E{rho e^{-beta rho}} / E{e^{-beta rho}} under Y ~ Q*,
     R = -(beta D + ln E{e^{-beta rho}}), with x immaterial by symmetry."""
-    report = check_symmetry(Q_star, rho)
-    if not report:
-        raise SymmetryError(report.detail)
+    law = symmetric_energy_law(Q_star, rho)
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    row = rho.values[0]
-    wts = Q_star.probs * np.exp(-beta * row)
-    z = wts.sum()
-    D = float((wts * row).sum() / z)
-    R = float(-(beta * D + math.log(z)))
+    D = -law.log_mgf_prime(beta)
+    R = -(beta * D + law.log_mgf(beta))
     return max(R, 0.0), D
 
 
@@ -167,25 +157,21 @@ def _solve_beta_for_rate(P: SourceModel, rho: DistortionMatrix, r_target: float)
     return point.beta, point, False
 
 
-def verify_d0_equals_d(
-    P: SourceModel,
-    rho: DistortionMatrix,
-    d: int,
-    tol: float = 1e-4,
-) -> TheoremReport:
+def verify_d0_equals_d(P: SourceModel, rho: DistortionMatrix, d: int) -> TheoremReport:
     """End-to-end theorem check at rate R = ln d.
 
     Finds the slope where the rate-distortion curve has rate ln d, takes the
     optimizing output distribution Q*, verifies the symmetry hypothesis, and
-    compares the ensemble bound d0_of_r(Q*, rho, ln d) against D(R).
+    compares the ensemble bound D0(ln d) of its branch-energy law against D(R).
     """
     if d < 2:
         raise ValueError("need d >= 2")
     r_target = math.log(d)
     beta_star, point, degenerate = _solve_beta_for_rate(P, rho, r_target)
     q_star = point.Q_star
-    sym = check_symmetry(q_star, rho, tol=1e-6)
-    if not sym:
+    try:
+        law = symmetric_energy_law(q_star, rho)
+    except SymmetryError as exc:
         return TheoremReport(
             d0=math.nan,
             d_of_r=point.D,
@@ -195,15 +181,15 @@ def verify_d0_equals_d(
             degenerate=degenerate,
             beta_star=beta_star,
             q_star=q_star,
-            detail=f"theorem hypothesis fails: {sym.detail}",
+            detail=f"theorem hypothesis fails: {exc}",
         )
-    d0: D0Result = d0_of_r(q_star, rho, r_target)
+    d0: D0Result = d0_of_r(law, r_target)
     gap = abs(d0.value - point.D)
     return TheoremReport(
         d0=d0.value,
         d_of_r=point.D,
         gap=gap,
-        passed=gap <= tol,
+        passed=gap <= D0_TOL,
         applicable=True,
         degenerate=degenerate or d0.degenerate,
         beta_star=beta_star,

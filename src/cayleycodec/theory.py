@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .model import (
-    CodingDistribution,
-    DistortionMatrix,
-    EnergyDistribution,
-    SymmetryError,
-    check_symmetry,
-    induced_energy_distribution,
-)
+from .model import EnergyDistribution
 
 # Beyond this beta the search for a stationary point gives up and the phase
 # is declared never-frozen (beta_c = inf).  For bounded energies -phi moves
@@ -119,23 +112,19 @@ class D0Result:
         return self.value
 
 
-def d0_of_r(Q: CodingDistribution, rho: DistortionMatrix, R: float) -> D0Result:
+def d0_of_r(law: EnergyDistribution, R: float) -> D0Result:
     """Almost-sure per-letter distortion of the random tree-code ensemble,
-    max over beta > 0 of -(log-MGF of rho(x,Y) + R) / beta = -phi(beta_c).
+    max over beta > 0 of -(log-MGF of law + R) / beta = -phi(beta_c).
 
-    Requires the symmetry condition and R = ln d for an integer d >= 2.
+    law comes from model.symmetric_energy_law; R = ln d for an integer d >= 2.
     When phi has no interior minimum the supremum is a beta -> inf limit;
     we evaluate at BETA_MAX and flag the result DEGENERATE.
     """
-    report = check_symmetry(Q, rho)
-    if not report:
-        raise SymmetryError(report.detail)
     d_real = math.exp(R)
     d = round(d_real)
     if d < 2 or abs(d_real - d) > 1e-9 * max(1.0, d):
         raise ValueError(f"R={R!r} is not ln(d) for an integer d >= 2")
-    dist = induced_energy_distribution(Q, rho, 0)
-    limit = FreeEnergyLimit.for_distribution(dist, d)
+    limit = FreeEnergyLimit.for_distribution(law, d)
     value = -limit.phi_at_beta_c + 0.0  # normalize -0.0
     if limit.frozen_phase_exists:
         return D0Result(value=value, degenerate=False, beta_star=limit.beta_c, d=d)

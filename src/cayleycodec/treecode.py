@@ -16,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import theory
 from .dprm import TreeShape, run_trials, tree_ground_state, validate_walk, walk_from_leaf
-from .model import (
-    CodingDistribution,
-    DistortionMatrix,
-    SourceModel,
-    SymmetryError,
-    check_symmetry,
-)
+from .model import CodingDistribution, DistortionMatrix, SourceModel, symmetric_energy_law
 from .rng import CODEBOOK_STREAM, SOURCE_STREAM, uniforms
 
 _MAGIC = b"CAYCODE1"
@@ -273,13 +268,9 @@ def simulate_ensemble(
     code redraws (the faithful test of the per-individual-sequence claim).
     Refuses non-symmetric instances: the theorem's hypothesis fails there.
     """
-    from .theory import d0_of_r
-
-    report = check_symmetry(Q, rho)
-    if not report:
-        raise SymmetryError(report.detail)
+    law = symmetric_energy_law(Q, rho)
     shape = TreeShape(d=d, n=n)
-    d0 = d0_of_r(Q, rho, math.log(d))
+    d0 = theory.d0_of_r(law, math.log(d))
 
     def trial(t: int, seed: int) -> float:
         src_key = 0 if fixed_sequence else t

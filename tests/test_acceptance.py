@@ -38,6 +38,7 @@ from cayleycodec import (
     pack,
     reproduction,
     simulate_ensemble,
+    symmetric_energy_law,
     unpack,
     verify_d0_equals_d,
 )
@@ -221,7 +222,8 @@ def test_criterion_6_phase_transition_shape():
 
 def test_criterion_7_degenerate_case(tmp_path):
     bc = beta_c(EnergyDistribution.discrete([0.0, 1.0], [0.5, 0.5]), 2)
-    res = d0_of_r(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2), math.log(2))
+    law = symmetric_energy_law(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2))
+    res = d0_of_r(law, math.log(2))
     cfg = ExperimentConfig.from_dict({
         "kind": "verify-theorem",
         "master_seed": 17,

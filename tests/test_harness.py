@@ -6,12 +6,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycodec import decode_sequential, read_bitstream, TreeCode, TreeShape, CodingDistribution
 from cayleycodec.cli import main
 from cayleycodec.harness import (
     EXIT_NOT_APPLICABLE,
     EXIT_OK,
+    EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
     run_dprm_converge,
@@ -53,6 +56,94 @@ def test_config_requires_seed_and_kind():
         ExperimentConfig.from_dict(converge_config(trials=0))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(converge_config(beta=-1.0))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"beta": math.nan},
+    {"beta": math.inf},
+    {"models": 5},
+    {"trials": None},
+    {"models": {"energy": {"kind": "gaussian", "mean": 0}}},
+    {"models": {"energy": [1]}},
+])
+def test_config_rejects_malformed_sections(overrides):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(converge_config(**overrides))
+
+
+@pytest.mark.parametrize("grid", [
+    [0.5, math.nan],
+    {"start": 1},
+    {"start": 0.5, "stop": math.inf, "step": 0.1},
+    {"start": 0.5, "stop": math.nan, "step": 0.1},
+    {"start": 0.5, "stop": 1.0, "step": math.nan},
+])
+def test_config_rejects_malformed_beta_grid(grid):
+    base = {k: v for k, v in converge_config().items() if k != "beta"}
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(base | {"beta_grid": grid})
+
+
+def test_cli_rejects_nan_beta(tmp_path):
+    # json accepts NaN; the run must fail instead of writing nan rows
+    cfg = write_config(tmp_path, converge_config(beta=math.nan))
+    assert main(["dprm-converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out" / "dprm_converge.csv").exists()
+
+
+# JSON values kept small: a huge Hamming order or beta grid would allocate
+# without bound rather than exercise the parser.
+_JSON_LEAF = (
+    st.none() | st.booleans() | st.integers(-3, 12) | st.text(max_size=4)
+    | st.floats(-20, 20) | st.sampled_from([math.nan, math.inf, -math.inf, 2**70])
+)
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(alphabet="ab", max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+# grid bounds and steps that expand to at most a few hundred points
+_GRID_END = st.floats(-20, 20) | st.sampled_from([math.nan, math.inf, -math.inf, None, "x", [1]])
+_PMF = st.fixed_dictionaries({}, optional={"probs": _JSON | st.just([0.5, 0.5])})
+_CONFIG = st.fixed_dictionaries(
+    {"kind": st.sampled_from(EXPERIMENT_KINDS) | _JSON},
+    optional={
+        "master_seed": _JSON,
+        "models": _JSON | st.fixed_dictionaries({}, optional={
+            "source": _JSON | _PMF,
+            "coding": _JSON | _PMF,
+            "distortion": _JSON | st.fixed_dictionaries(
+                {}, optional={"hamming": _JSON, "rows": _JSON}),
+            "energy": _JSON | st.fixed_dictionaries({}, optional={
+                "kind": st.sampled_from(["gaussian", "discrete"]) | _JSON,
+                "mean": _JSON, "std": _JSON, "values": _JSON, "probs": _JSON,
+            }),
+        }),
+        "shape": _JSON | st.fixed_dictionaries({}, optional={
+            "d": _JSON, "n": _JSON, "n_list": _JSON}),
+        "beta": _JSON,
+        "beta_grid": _JSON | st.fixed_dictionaries({}, optional={
+            "start": _GRID_END, "stop": _GRID_END,
+            "step": st.sampled_from([-1.0, 0.0, 0.25, 1.0, math.nan, math.inf, None, "x"]),
+        }),
+        "trials": _JSON,
+        "beam_width": _JSON,
+        "fixed_sequence": _JSON,
+        "x": _JSON,
+        "bitstream": _JSON,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_CONFIG)
+def test_config_from_dict_fails_only_with_value_errors(raw):
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ValueError:  # ConfigError and model validation errors
+        return
+    assert all(math.isfinite(b) for b in cfg.betas)
 
 
 def test_beta_grid_expansion():
@@ -224,6 +315,30 @@ def test_verify_theorem_not_applicable(tmp_path):
     assert run_verify_theorem(cfg, str(tmp_path)) == EXIT_NOT_APPLICABLE
     summary = json.loads((tmp_path / "verify_theorem_summary.json").read_text())
     assert summary["verdict"] == "NOT-APPLICABLE"
+
+
+@pytest.mark.parametrize("delta, code, verdict", [
+    (1e-9, EXIT_OK, "PASS"),
+    (1e-8, EXIT_OK, "PASS"),
+    (1e-7, EXIT_OK, "PASS"),
+    (1e-6, EXIT_NOT_APPLICABLE, "NOT-APPLICABLE"),
+])
+def test_cli_verify_theorem_near_symmetric_source(tmp_path, delta, code, verdict):
+    # one symmetry gate: a Q* that passes it is accepted by every later stage
+    cfg = write_config(tmp_path, {
+        "kind": "verify-theorem",
+        "master_seed": 3,
+        "models": {
+            "source": {"probs": [1 / 3 + delta, 1 / 3 - delta, 1 / 3]},
+            "distortion": {"hamming": 3},
+        },
+        "shape": {"d": 2, "n_list": [6]},
+        "trials": 2,
+    })
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", cfg, "--out", str(out)]) == code
+    summary = json.loads((out / "verify_theorem_summary.json").read_text())
+    assert summary["verdict"] == verdict
 
 
 def test_ensemble_runner(tmp_path):

@@ -9,8 +9,8 @@ from cayleycodec import (
     DistortionMatrix,
     EnergyDistribution,
     SourceModel,
-    check_symmetry,
-    induced_energy_distribution,
+    SymmetryError,
+    symmetric_energy_law,
 )
 
 
@@ -58,48 +58,45 @@ def test_energy_distribution_variants():
     d = EnergyDistribution.discrete([1.0, 0.0], [0.25, 0.75])
     assert d.support_min == 0.0 and d.support_max == 1.0
     assert d.mean == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        EnergyDistribution.gaussian(0.0, 0.0)
+    for mean, std in [(0.0, 0.0), (np.nan, 1.0), (np.inf, 1.0), (0.0, np.inf), (0.0, np.nan)]:
+        with pytest.raises(ValueError):
+            EnergyDistribution.gaussian(mean, std)
     with pytest.raises(ValueError):
         EnergyDistribution.discrete([0.0, 1.0], [0.7, 0.7])
 
 
 def test_check_symmetry_hamming_uniform():
     # rows of the Hamming matrix are permutations of each other
-    assert check_symmetry(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2))
+    symmetric_energy_law(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2))
 
 
 def test_check_symmetry_skewed_q_fails():
-    report = check_symmetry(CodingDistribution([0.9, 0.1]), DistortionMatrix.hamming(2))
-    assert not report
-    assert report.offending_rows == (0, 1)
-    assert "0.9" in report.detail or "0.1" in report.detail
+    with pytest.raises(SymmetryError, match="rows 0 and 1") as exc:
+        symmetric_energy_law(CodingDistribution([0.9, 0.1]), DistortionMatrix.hamming(2))
+    assert "0.9" in str(exc.value) or "0.1" in str(exc.value)
 
 
 def test_check_symmetry_swap_allowed_only_for_equal_masses():
     rho = DistortionMatrix([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
     # swapping rho(x,a) with rho(x,b) is fine when q(a) == q(b)
-    assert check_symmetry(CodingDistribution([0.3, 0.3, 0.4]), rho)
-    assert not check_symmetry(CodingDistribution([0.5, 0.3, 0.2]), rho)
+    symmetric_energy_law(CodingDistribution([0.3, 0.3, 0.4]), rho)
+    with pytest.raises(SymmetryError):
+        symmetric_energy_law(CodingDistribution([0.5, 0.3, 0.2]), rho)
 
 
 def test_check_symmetry_dimension_mismatch():
     with pytest.raises(ValueError):
-        check_symmetry(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(3))
+        symmetric_energy_law(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(3))
 
 
 def test_induced_distribution_binary_uniform():
-    dist = induced_energy_distribution(
-        CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2), 0
-    )
+    dist = symmetric_energy_law(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2))
     assert np.allclose(dist.values, [0.0, 1.0])
     assert np.allclose(dist.probs, [0.5, 0.5])
 
 
 def test_induced_distribution_degenerate_q():
-    dist = induced_energy_distribution(
-        CodingDistribution([1.0, 0.0]), DistortionMatrix([[0.0, 1.0]]), 0
-    )
+    dist = symmetric_energy_law(CodingDistribution([1.0, 0.0]), DistortionMatrix([[0.0, 1.0]]))
     assert np.allclose(dist.values, [0.0])
     assert np.allclose(dist.probs, [1.0])
 
@@ -107,10 +104,9 @@ def test_induced_distribution_degenerate_q():
 def test_induced_distribution_quaternary_hamming():
     Q = CodingDistribution([0.25] * 4)
     rho = DistortionMatrix.hamming(4)
-    for x in range(4):
-        dist = induced_energy_distribution(Q, rho, x)
-        assert np.allclose(dist.values, [0.0, 1.0])
-        assert np.allclose(dist.probs, [0.25, 0.75])
+    dist = symmetric_energy_law(Q, rho)
+    assert np.allclose(dist.values, [0.0, 1.0])
+    assert np.allclose(dist.probs, [0.25, 0.75])
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,9 +121,8 @@ def test_uniform_q_with_permuted_rows_is_symmetric(base, data):
     ]
     rho = DistortionMatrix(np.asarray(rows, dtype=float) / 8.0)
     Q = CodingDistribution(np.full(k, 1.0 / k))
-    assert check_symmetry(Q, rho)
-    ref = induced_energy_distribution(Q, rho, 0)
-    for x in range(1, rho.rows):
-        other = induced_energy_distribution(Q, rho, x)
+    ref = symmetric_energy_law(Q, rho)
+    for x in range(rho.rows):
+        other = EnergyDistribution.discrete(rho.values[x], Q.probs)
         assert np.allclose(ref.values, other.values, atol=1e-9)
         assert np.allclose(ref.probs, other.probs, atol=1e-9)

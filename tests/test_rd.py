@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_ba_validation_and_convergence_flag():
 def test_parametric_small_beta_limit():
     Q = CodingDistribution([0.5, 0.5])
     rho = DistortionMatrix.hamming(2)
-    R, D = rd_point_parametric(SourceModel([0.5, 0.5]), Q, rho, 1e-9)
+    R, D = rd_point_parametric(Q, rho, 1e-9)
     assert D == pytest.approx(0.5, abs=1e-6)
     assert R == pytest.approx(0.0, abs=1e-9)
 
@@ -99,8 +100,7 @@ def test_parametric_binary_closed_form():
     D = 0.1
     beta = math.log((1 - D) / D)
     R, Dout = rd_point_parametric(
-        SourceModel([0.5, 0.5]), CodingDistribution([0.5, 0.5]),
-        DistortionMatrix.hamming(2), beta,
+        CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2), beta
     )
     assert Dout == pytest.approx(D, abs=1e-12)
     assert R == pytest.approx(math.log(2) - h_nats(0.1), abs=1e-9)
@@ -110,19 +110,25 @@ def test_parametric_constant_distortion():
     c = 1.7
     rho = DistortionMatrix(np.full((2, 2), c))
     for beta in (0.0, 1.0, 10.0):
-        R, D = rd_point_parametric(
-            SourceModel([0.5, 0.5]), CodingDistribution([0.5, 0.5]), rho, beta
-        )
+        R, D = rd_point_parametric(CodingDistribution([0.5, 0.5]), rho, beta)
         assert D == pytest.approx(c, abs=1e-12)
         assert R == pytest.approx(0.0, abs=1e-9)
 
 
+def test_parametric_finite_at_large_beta():
+    # the log-MGF is max-shifted, so e^{-beta rho} underflowing cannot give NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R, D = rd_point_parametric(
+            CodingDistribution([0.5, 0.5]), DistortionMatrix([[1, 2], [2, 1]]), 800.0
+        )
+    assert R == pytest.approx(math.log(2), abs=1e-9)
+    assert D == pytest.approx(1.0, abs=1e-9)
+
+
 def test_parametric_requires_symmetry():
     with pytest.raises(SymmetryError):
-        rd_point_parametric(
-            SourceModel([0.5, 0.5]), CodingDistribution([0.9, 0.1]),
-            DistortionMatrix.hamming(2), 1.0,
-        )
+        rd_point_parametric(CodingDistribution([0.9, 0.1]), DistortionMatrix.hamming(2), 1.0)
 
 
 def test_sweep_monotone_and_qstar_uniform():
@@ -143,7 +149,7 @@ def test_parametric_agrees_with_ba():
     rho = DistortionMatrix.hamming(4)
     for beta in (0.8, 2.0, 3.5):
         pt = blahut_arimoto(P, rho, beta)
-        R, D = rd_point_parametric(P, pt.Q_star, rho, beta)
+        R, D = rd_point_parametric(pt.Q_star, rho, beta)
         assert R == pytest.approx(pt.R, abs=1e-6)
         assert D == pytest.approx(pt.D, abs=1e-6)
 
@@ -197,7 +203,7 @@ def test_d0_sandwiches_d_within_tolerance():
         (SourceModel([0.2] * 5), DistortionMatrix.hamming(5)),
     ]
     for P, rho in fixtures:
-        report = verify_d0_equals_d(P, rho, 2, tol=1e-4)
+        report = verify_d0_equals_d(P, rho, 2)
         assert report.d0 <= report.d_of_r + 1e-4
         assert report.d0 >= report.d_of_r - 1e-4
 

@@ -12,9 +12,9 @@ from cayleycodec import (
     beta_c,
     d0_of_r,
     f_limit,
-    induced_energy_distribution,
     log_mgf,
     phi,
+    symmetric_energy_law,
 )
 from cayleycodec.theory import BETA_MAX
 
@@ -141,13 +141,15 @@ def test_phi_bounded_below_by_minus_max_atom():
 
 
 def test_d0_binary_uniform_hamming_degenerate():
-    res = d0_of_r(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2), math.log(2))
+    law = symmetric_energy_law(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2))
+    res = d0_of_r(law, math.log(2))
     assert res.degenerate
     assert res.value == pytest.approx(0.0, abs=1e-8)
 
 
 def test_d0_quaternary_uniform_hamming():
-    res = d0_of_r(CodingDistribution([0.25] * 4), DistortionMatrix.hamming(4), math.log(2))
+    law = symmetric_energy_law(CodingDistribution([0.25] * 4), DistortionMatrix.hamming(4))
+    res = d0_of_r(law, math.log(2))
     assert not res.degenerate
     assert res.value == pytest.approx(0.1893, abs=5e-5)
     # ternary-search oracle on -(ln M + R)/beta agrees
@@ -168,7 +170,7 @@ def test_d0_quaternary_uniform_hamming():
 def test_d0_constant_distortion():
     c = 0.8
     rho = DistortionMatrix(np.full((2, 3), c))
-    res = d0_of_r(CodingDistribution([0.2, 0.3, 0.5]), rho, math.log(2))
+    res = d0_of_r(symmetric_energy_law(CodingDistribution([0.2, 0.3, 0.5]), rho), math.log(2))
     assert res.degenerate
     assert res.value == pytest.approx(c, abs=1e-3)
 
@@ -177,22 +179,23 @@ def test_d0_rejects_bad_rate_and_asymmetry():
     Q = CodingDistribution([0.5, 0.5])
     rho = DistortionMatrix.hamming(2)
     with pytest.raises(ValueError):
-        d0_of_r(Q, rho, 0.9)  # not ln(integer)
+        d0_of_r(symmetric_energy_law(Q, rho), 0.9)  # not ln(integer)
     with pytest.raises(SymmetryError):
-        d0_of_r(CodingDistribution([0.9, 0.1]), rho, math.log(2))
+        d0_of_r(symmetric_energy_law(CodingDistribution([0.9, 0.1]), rho), math.log(2))
 
 
 def test_d0_consistent_with_induced_pipeline():
     # cross-module identity: d0 == -phi(beta_c) of the induced energy law
     Q = CodingDistribution([0.25] * 4)
     rho = DistortionMatrix.hamming(4)
-    res = d0_of_r(Q, rho, math.log(2))
-    dist = induced_energy_distribution(Q, rho, 0)
+    dist = symmetric_energy_law(Q, rho)
+    res = d0_of_r(dist, math.log(2))
     limit = FreeEnergyLimit.for_distribution(dist, 2)
     assert res.value == -limit.phi_at_beta_c
     assert res.beta_star == limit.beta_c
 
 
 def test_degenerate_d0_evaluated_at_beta_cap():
-    res = d0_of_r(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2), math.log(2))
+    law = symmetric_energy_law(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2))
+    res = d0_of_r(law, math.log(2))
     assert res.beta_star == BETA_MAX
