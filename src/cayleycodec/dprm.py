@@ -5,9 +5,11 @@ left to right.  A walk is (j_1, ..., j_n) with d*j_i <= j_{i+1} <= d*j_i+d-1;
 the leaf index j_n alone determines the whole walk.
 
 Energies are never materialized as a tree: each branch energy is a pure hash
-of (master_seed, i, j), so the sweeps below regenerate whole generations as
-vectorized batches.  All combining is done in the log domain (a max-shifted
-log-sum-exp over each node's d children), so large beta does not underflow.
+of (master_seed, i, j), so the sweep below regenerates whole generations as
+vectorized batches.  It runs top-down on path energies in leaf order, and one
+pass reads ln Z and <E> at every requested level and beta (a log-sum-exp
+shifted by the minimum path energy, so large beta does not underflow) and the
+ground state (the first argmin of the last level).
 """
 
 from __future__ import annotations
@@ -19,11 +21,6 @@ import numpy as np
 
 from .model import EnergyDistribution
 from .rng import ENERGY_STREAM, TRIAL_STREAM, derive_seed, uniforms
-
-# An energy function maps a generation index i to the d^i branch energies of
-# that generation, in branch-index order.
-EnergyFn = Callable[[int], np.ndarray]
-
 
 @dataclass(frozen=True)
 class TreeShape:
@@ -94,66 +91,60 @@ class BranchEnergyOracle:
 
     def generation_energies(self, i: int) -> np.ndarray:
         """All d^i branch energies of generation i, vectorized."""
-        if not (1 <= i <= self.shape.n):
-            raise ValueError(f"generation {i} out of range 1..{self.shape.n}")
+        self._check(i, 0)
         j = np.arange(self.shape.d**i, dtype=np.uint64)
         return self.energy_dist.sample(uniforms(self.master_seed, ENERGY_STREAM, i, j))
 
 
 # ---------------------------------------------------------------------------
-# generic bottom-up sweeps over a full balanced tree
+# the top-down sweep
 
 
-def tree_log_partition_and_mean_energy(
-    energy_fn: EnergyFn, d: int, n: int, beta: float
-) -> tuple[float, float]:
-    """(ln Z, Boltzmann-averaged path energy), one pass; ln Z is the log of
-    the sum over walks of exp(-beta * path energy).
+@dataclass(frozen=True)
+class Sweep:
+    """What one pass reads off a tree: ln Z and <E> indexed [level, beta],
+    and the ground state (walk, total energy) at the last generation."""
 
-    Propagates per-subtree (log partition, weighted mean energy) pairs up
-    the tree; the mean combines children with their softmax weights.
+    log_z: np.ndarray
+    mean_energy: np.ndarray
+    walk: np.ndarray
+    min_energy: float
+
+
+def tree_sweep(energy_fn: Callable[[int], np.ndarray], shape: TreeShape, betas=(), levels=None) -> Sweep:
+    """One top-down pass over the path energies P_i = repeat(P_{i-1}, d) + e_i
+    in leaf order, where energy_fn(i) gives the d^i energies e_i of generation
+    i in branch order.  P_0 = 0, so each walk sums left to right: (e_1 + e_2) + ...
+
+    At each level k in `levels` (default: n) and each beta > 0 it records
+    ln Z_k(beta) = ln sum exp(-beta P_k), shifted by min P_k, and the
+    Boltzmann mean <E>_k of P_k.  The ground state is the first argmin of
+    P_n; leaf order is lexicographic walk order, so that breaks ties.
     """
-    if beta <= 0:
+    betas = np.asarray(betas, dtype=np.float64).reshape(-1)
+    if not np.all(betas > 0):
         raise ValueError("beta must be > 0")
-    v = None
-    m = None
-    for i in range(n, 0, -1):
-        e = energy_fn(i)
-        a = -beta * e
-        me = e
-        if v is not None:
-            a = a + v
-            me = me + m
-        a = a.reshape(-1, d)
-        a_max = a.max(axis=1)
-        w = np.exp(a - a_max[:, None])
-        s = w.sum(axis=1)
-        v = a_max + np.log(s)
-        m = (w * me.reshape(-1, d)).sum(axis=1) / s
-    return float(v[0]), float(m[0])
-
-
-def tree_ground_state(energy_fn: EnergyFn, d: int, n: int) -> tuple[np.ndarray, float]:
-    """(argmin walk, min total path energy); ties go to the lexicographically
-    smallest index sequence (argmin takes the first minimum at every node,
-    which composes to the lexicographic rule top-down)."""
-    g = None
-    choices = []
-    for i in range(n, 0, -1):
-        t = energy_fn(i)
-        if g is not None:
-            t = t + g
-        t = t.reshape(-1, d)
-        c = np.argmin(t, axis=1)
-        g = t[np.arange(t.shape[0]), c]
-        choices.append(c)
-    choices.reverse()
-    walk = np.empty(n, dtype=np.int64)
-    j = 0
-    for i in range(n):
-        j = d * j + int(choices[i][j])
-        walk[i] = j
-    return walk, float(g[0])
+    levels = [shape.n] if levels is None else [int(k) for k in levels]
+    if not all(1 <= k <= shape.n for k in levels):
+        raise ValueError(f"levels {levels} must lie in 1..n={shape.n}")
+    log_z = np.empty((len(levels), betas.size))
+    mean_energy = np.empty_like(log_z)
+    path = np.zeros(1)
+    for i in range(1, shape.n + 1):
+        path = (path[:, None] + energy_fn(i).reshape(-1, shape.d)).ravel()
+        rows = [r for r, k in enumerate(levels) if k == i]
+        if not rows:
+            continue
+        p_min = path.min()
+        excess = path - p_min
+        w = np.empty_like(path)
+        for c, beta in enumerate(betas):
+            np.exp(np.multiply(excess, -beta, out=w), out=w)
+            s = w.sum()
+            log_z[rows, c] = np.log(s) - beta * p_min
+            mean_energy[rows, c] = (w * path).sum() / s
+    leaf = int(np.argmin(path))
+    return Sweep(log_z, mean_energy, walk_from_leaf(leaf, shape), float(path[leaf]))
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +152,7 @@ def tree_ground_state(energy_fn: EnergyFn, d: int, n: int) -> tuple[np.ndarray, 
 
 
 def log_partition_function(oracle: BranchEnergyOracle, beta: float) -> float:
-    return tree_log_partition_and_mean_energy(
-        oracle.generation_energies, oracle.shape.d, oracle.shape.n, beta
-    )[0]
+    return float(tree_sweep(oracle.generation_energies, oracle.shape, [beta]).log_z[0, 0])
 
 
 def free_energy_per_step(oracle: BranchEnergyOracle, beta: float) -> float:
@@ -174,45 +163,57 @@ def free_energy_per_step(oracle: BranchEnergyOracle, beta: float) -> float:
 
 def internal_energy(oracle: BranchEnergyOracle, beta: float) -> float:
     """Boltzmann-averaged total path energy <E> = -d/dbeta ln Z."""
-    _, mean_e = tree_log_partition_and_mean_energy(
-        oracle.generation_energies, oracle.shape.d, oracle.shape.n, beta
-    )
-    return mean_e
+    return float(tree_sweep(oracle.generation_energies, oracle.shape, [beta]).mean_energy[0, 0])
 
 
 def ground_state(oracle: BranchEnergyOracle) -> tuple[np.ndarray, float]:
     """Minimum-energy walk and its total energy."""
-    return tree_ground_state(oracle.generation_energies, oracle.shape.d, oracle.shape.n)
+    sweep = tree_sweep(oracle.generation_energies, oracle.shape)
+    return sweep.walk, sweep.min_energy
 
 
 @dataclass(frozen=True)
 class MonteCarloStats:
-    mean: float
-    std: float
+    """Trial statistics.  For array-valued trials, mean and std have the
+    trial's shape, values carries the trials along axis 0, and cell(*index)
+    gives the statistics of one entry."""
+
+    mean: float | np.ndarray
+    std: float | np.ndarray
     values: np.ndarray
 
+    def cell(self, *index) -> "MonteCarloStats":
+        return MonteCarloStats(float(self.mean[index]), float(self.std[index]), self.values[(slice(None), *index)])
 
-def run_trials(trial_fn: Callable[[int, int], float], trials: int, master_seed: int) -> MonteCarloStats:
+
+def run_trials(trial_fn: Callable[[int, int], float | np.ndarray], trials: int, master_seed: int) -> MonteCarloStats:
     """Runs trial_fn(t, seed) for t = 0..trials-1, where seed is the child seed
     derived from (master_seed, t), so trials are independent and the
     aggregate is insensitive to execution order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     values = np.array([trial_fn(t, derive_seed(master_seed, TRIAL_STREAM, t)) for t in range(trials)])
-    std = float(values.std(ddof=1)) if trials > 1 else 0.0
-    return MonteCarloStats(mean=float(values.mean()), std=std, values=values)
+    # trials last and contiguous, so every cell reduces exactly as a 1-D run would
+    by_cell = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+    mean = by_cell.mean(axis=-1)
+    std = by_cell.std(axis=-1, ddof=1) if trials > 1 else np.zeros_like(mean)
+    if values.ndim == 1:
+        mean, std = float(mean), float(std)
+    return MonteCarloStats(mean=mean, std=std, values=values)
 
 
 def monte_carlo_free_energy(
-    shape: TreeShape,
-    energy_dist: EnergyDistribution,
-    beta: float,
-    trials: int,
-    master_seed: int,
+    d: int, ns, energy_dist: EnergyDistribution, betas, trials: int, master_seed: int
 ) -> MonteCarloStats:
-    """Independent disorder realizations of f_n(beta), one per trial seed."""
-    return run_trials(
-        lambda t, seed: free_energy_per_step(BranchEnergyOracle(seed, energy_dist, shape), beta),
-        trials,
-        master_seed,
-    )
+    """f_k(beta) = ln Z_k(beta) / (k beta) for every k in ns and beta in betas,
+    one disorder realization per trial seed; mean and std are [k, beta].
+    Branch energies depend on (seed, i, j) and not on the depth, so one sweep
+    per trial reads every cell, each equal to a one-cell run bit for bit."""
+    shape = TreeShape(d=d, n=max(ns))
+    scale = np.outer(ns, betas)
+
+    def trial(t: int, seed: int) -> np.ndarray:
+        oracle = BranchEnergyOracle(seed, energy_dist, shape)
+        return tree_sweep(oracle.generation_energies, shape, betas, ns).log_z / scale
+
+    return run_trials(trial, trials, master_seed)

@@ -37,6 +37,9 @@ EXPERIMENT_KINDS = (
     "ensemble",
 )
 
+# largest {start, stop, step} beta_grid, checked before it is expanded
+MAX_GRID_POINTS = 100_000
+
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_APPLICABLE = 2
@@ -129,6 +132,8 @@ class ExperimentConfig:
                 if not (step > 0 and stop > start and math.isfinite(stop - start)):
                     raise ConfigError("beta_grid needs finite bounds, step > 0 and stop > start")
                 count = int(round((stop - start) / step)) + 1
+                if count > MAX_GRID_POINTS:
+                    raise ConfigError(f"beta_grid has {count} points, more than {MAX_GRID_POINTS}")
                 cfg.betas = [start + k * step for k in range(count)]
         if not all(math.isfinite(b) for b in cfg.betas):
             raise ConfigError("beta values must be finite")
@@ -188,19 +193,15 @@ def run_dprm_converge(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         raise ConfigError("dprm-converge: need shape.n or shape.n_list")
     out = _ensure_out(out_dir)
     limit = theory.FreeEnergyLimit.for_distribution(cfg.energy, cfg.d)
+    stats = monte_carlo_free_energy(cfg.d, ns, cfg.energy, cfg.betas, cfg.trials, cfg.master_seed)
     rows = []
-    for n in ns:
-        for beta in cfg.betas:
-            stats = monte_carlo_free_energy(
-                TreeShape(d=cfg.d, n=n), cfg.energy, beta, cfg.trials, cfg.master_seed
-            )
+    for r, n in enumerate(ns):
+        for c, beta in enumerate(cfg.betas):
+            cell = stats.cell(r, c)
             flim = limit.f(beta)
-            rows.append((n, beta, stats.mean, stats.std, flim, stats.mean - flim))
-    _write_csv(
-        os.path.join(out, "dprm_converge.csv"),
-        ["n", "beta", "mean_f_n", "std", "f_limit", "gap"],
-        rows,
-    )
+            rows.append((n, beta, cell.mean, cell.std, flim, cell.mean - flim))
+    _write_csv(os.path.join(out, "dprm_converge.csv"),
+               ["n", "beta", "mean_f_n", "std", "f_limit", "gap"], rows)
     _write_summary(out, "dprm_converge_summary.json", {
         "kind": cfg.kind,
         "master_seed": cfg.master_seed,
@@ -222,7 +223,7 @@ def run_phase_scan(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     limit = theory.FreeEnergyLimit.for_distribution(cfg.energy, cfg.d)
     betas = np.asarray(cfg.betas)
     transition = limit.frozen_phase_exists and betas[0] < limit.beta_c < betas[-1]
-    if limit.frozen_phase_exists and transition:
+    if transition:
         n_lo = int((betas < limit.beta_c).sum())
         n_hi = int((betas > limit.beta_c).sum())
         if n_lo < 5 or n_hi < 5:

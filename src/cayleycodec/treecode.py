@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .dprm import TreeShape, run_trials, tree_ground_state, validate_walk, walk_from_leaf
+from .dprm import TreeShape, run_trials, tree_sweep, validate_walk, walk_from_leaf
 from .model import CodingDistribution, DistortionMatrix, SourceModel, symmetric_energy_law
 from .rng import CODEBOOK_STREAM, SOURCE_STREAM, uniforms
 
@@ -103,11 +103,7 @@ def encode_exact(code: TreeCode, x, rho: DistortionMatrix) -> EncodingResult:
     identification is exact, including the tie-break rule.
     """
     x = _check_source_tuple(code, x, rho)
-
-    def energy_fn(t: int) -> np.ndarray:
-        return rho.values[x[t - 1]][code.generation_symbols(t)]
-
-    walk, _ = tree_ground_state(energy_fn, code.shape.d, code.shape.n)
+    walk = tree_sweep(lambda t: rho.values[x[t - 1]][code.generation_symbols(t)], code.shape).walk
     return _result_from_walk(code, x, rho, walk)
 
 

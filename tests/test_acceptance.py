@@ -113,9 +113,8 @@ def test_criterion_2_brute_force_equivalence():
 
 def test_criterion_3_dprm_convergence():
     bc_err = abs(beta_c(GAUSS, 2) - BETA_C_GAUSS)
-    high = monte_carlo_free_energy(TreeShape(2, 20), GAUSS, 0.5, 50, 90210)
-    frozen20 = monte_carlo_free_energy(TreeShape(2, 20), GAUSS, 3.0, 50, 90210)
-    frozen10 = monte_carlo_free_energy(TreeShape(2, 10), GAUSS, 3.0, 50, 90210)
+    grid = monte_carlo_free_energy(2, [10, 20], GAUSS, [0.5, 3.0], 50, 90210)
+    high, frozen20, frozen10 = grid.cell(1, 0), grid.cell(1, 1), grid.cell(0, 1)
     gap20 = abs(frozen20.mean - BETA_C_GAUSS)
     gap10 = abs(frozen10.mean - BETA_C_GAUSS)
     # NOTE: the paper's claim is asymptotic: f_n -> beta_c almost surely, with

@@ -23,10 +23,8 @@ from cayleycodec import (
     run_trials,
     validate_walk,
 )
-from cayleycodec.dprm import (
-    tree_ground_state,
-    tree_log_partition_and_mean_energy,
-)
+from cayleycodec.dprm import tree_sweep
+from cayleycodec.theory import BETA_MAX
 
 GAUSS = EnergyDistribution.gaussian(0.0, 1.0)
 
@@ -100,7 +98,7 @@ def test_gaussian_batch_statistics():
 
 def test_log_partition_single_chain():
     # d=1, energies (1,2,3), beta=1 -> ln Z = -6
-    lz = tree_log_partition_and_mean_energy(lambda i: chain_oracle([1.0, 2.0, 3.0])[i], 1, 3, 1.0)[0]
+    lz = tree_sweep(lambda i: chain_oracle([1.0, 2.0, 3.0])[i], TreeShape(1, 3), [1.0]).log_z[0, 0]
     assert lz == pytest.approx(-6.0, abs=1e-12)
 
 
@@ -132,7 +130,7 @@ def test_free_energy_per_step_sign_convention():
     o = BranchEnergyOracle(1, EnergyDistribution.point_mass(0.0), TreeShape(d=2, n=3))
     assert free_energy_per_step(o, 1.0) == pytest.approx(math.log(2), abs=1e-12)
     # d=1 chain: f = -(mean energy), independent of beta
-    f = tree_log_partition_and_mean_energy(lambda i: chain_oracle([1.0, 2.0, 3.0])[i], 1, 3, 2.0)[0] / (3 * 2.0)
+    f = tree_sweep(lambda i: chain_oracle([1.0, 2.0, 3.0])[i], TreeShape(1, 3), [2.0]).log_z[0, 0] / (3 * 2.0)
     assert f == pytest.approx(-2.0, abs=1e-12)
 
 
@@ -144,9 +142,7 @@ def test_internal_energy_constant_energies():
 
 def test_internal_energy_chain_is_total():
     energies = [0.4, -1.2, 2.0]
-    _, me = tree_log_partition_and_mean_energy(
-        lambda i: chain_oracle(energies)[i], 1, 3, 1.7
-    )
+    me = tree_sweep(lambda i: chain_oracle(energies)[i], TreeShape(1, 3), [1.7]).mean_energy[0, 0]
     assert me == pytest.approx(sum(energies), abs=1e-12)
 
 
@@ -178,7 +174,8 @@ def test_ground_state_tie_break_is_lexicographic():
 
 def test_ground_state_chain():
     energies = [0.3, -0.8, 1.1]
-    walk, e = tree_ground_state(lambda i: chain_oracle(energies)[i], 1, 3)
+    sweep = tree_sweep(lambda i: chain_oracle(energies)[i], TreeShape(1, 3))
+    walk, e = sweep.walk, sweep.min_energy
     assert list(walk) == [0, 0, 0]
     assert e == pytest.approx(sum(energies), abs=1e-12)
 
@@ -192,6 +189,64 @@ def test_ground_state_matches_enumeration(seed):
     bwalk, be = enumerate_ground_state(energies, 2, 3)
     assert list(walk) == list(bwalk)
     assert e == pytest.approx(be, abs=1e-12)
+
+
+def test_ground_state_tie_break_exact_on_float_sums():
+    # leaves 0 and 6 tie in real arithmetic; summed left to right, as each
+    # walk is, (.3 + .2) + .1 == .6 < (.1 + .2) + .3, so leaf 6 is the minimum
+    energies = {1: np.array([0.1, 0.3]), 2: np.array([0.2] * 4),
+                3: np.array([0.3, 0.9, 0.9, 0.9, 0.9, 0.9, 0.1, 0.9])}
+    sweep = tree_sweep(lambda i: energies[i], TreeShape(2, 3))
+    bwalk, be = enumerate_ground_state(energies, 2, 3)
+    assert list(bwalk) == [1, 3, 6]
+    assert list(sweep.walk) == list(bwalk) and sweep.min_energy == be
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 4)])
+def test_ground_state_matches_enumeration_exactly_with_float_ties(d, n):
+    # energies from a few decimal values: many walks tie in real arithmetic
+    # and differ only in rounding, so walk and energy must match exactly
+    rng = np.random.default_rng(d * 100 + n)
+    for _ in range(20):
+        energies = {i: rng.choice([0.1, 0.2, 0.3, 0.7], size=d**i) for i in range(1, n + 1)}
+        sweep = tree_sweep(lambda i: energies[i], TreeShape(d, n))
+        bwalk, be = enumerate_ground_state(energies, d, n)
+        assert list(sweep.walk) == list(bwalk) and sweep.min_energy == be
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sweep_every_level_and_beta_matches_enumeration(d):
+    betas = [0.3, 1.0, 2.5, 7.0]
+    for n in (1, 2, 3, 4):
+        for seed in (0, 1):
+            o = BranchEnergyOracle(seed, GAUSS, TreeShape(d=d, n=n))
+            energies = oracle_energies(o)
+            levels = list(range(1, n + 1))
+            sweep = tree_sweep(o.generation_energies, o.shape, betas, levels)
+            for r, k in enumerate(levels):
+                for c, beta in enumerate(betas):
+                    assert sweep.log_z[r, c] == pytest.approx(
+                        enumerate_log_partition(energies, d, k, beta), abs=1e-10)
+                    assert sweep.mean_energy[r, c] == pytest.approx(
+                        enumerate_internal_energy(energies, d, k, beta), abs=1e-10)
+
+
+def test_sweep_finite_at_beta_max():
+    o = BranchEnergyOracle(3, GAUSS, TreeShape(d=2, n=8))
+    sweep = tree_sweep(o.generation_energies, o.shape, [BETA_MAX], [4, 8])
+    assert np.all(np.isfinite(sweep.log_z)) and np.all(np.isfinite(sweep.mean_energy))
+    # frozen: ln Z -> -beta E_min and <E> -> E_min
+    assert sweep.mean_energy[1, 0] == pytest.approx(sweep.min_energy, abs=1e-9)
+    assert sweep.log_z[1, 0] == pytest.approx(-BETA_MAX * sweep.min_energy, rel=1e-12)
+
+
+def test_sweep_rejects_bad_levels_and_beta():
+    o = BranchEnergyOracle(3, GAUSS, TreeShape(d=2, n=3))
+    for levels in ([0], [4]):
+        with pytest.raises(ValueError):
+            tree_sweep(o.generation_energies, o.shape, [1.0], levels)
+    with pytest.raises(ValueError):
+        tree_sweep(o.generation_energies, o.shape, [1.0, math.nan])
 
 
 def test_sandwich_inequality_per_realization():
@@ -209,12 +264,12 @@ def test_log_partition_monotone_in_each_energy():
     rng = np.random.default_rng(0)
     d, n, beta = 2, 3, 1.2
     base = {i: rng.normal(size=d**i) for i in range(1, n + 1)}
-    lz0 = tree_log_partition_and_mean_energy(lambda i: base[i], d, n, beta)[0]
+    lz0 = tree_sweep(lambda i: base[i], TreeShape(d, n), [beta]).log_z[0, 0]
     for i in range(1, n + 1):
         for j in range(d**i):
             bumped = {k: v.copy() for k, v in base.items()}
             bumped[i][j] += 0.5
-            lz1 = tree_log_partition_and_mean_energy(lambda i: bumped[i], d, n, beta)[0]
+            lz1 = tree_sweep(lambda i: bumped[i], TreeShape(d, n), [beta]).log_z[0, 0]
             assert lz1 < lz0
 
 
@@ -230,9 +285,7 @@ def test_determinism_across_runs():
 
 def test_monte_carlo_point_mass():
     c = 0.7
-    stats = monte_carlo_free_energy(
-        TreeShape(d=2, n=5), EnergyDistribution.point_mass(c), 2.0, 4, 13
-    )
+    stats = monte_carlo_free_energy(2, [5], EnergyDistribution.point_mass(c), [2.0], 4, 13).cell(0, 0)
     assert stats.mean == pytest.approx(math.log(2) / 2.0 - c, abs=1e-12)
     assert stats.std == 0.0
 
@@ -241,13 +294,34 @@ def test_monte_carlo_single_trial_equals_direct():
     from cayleycodec.rng import TRIAL_STREAM, derive_seed
 
     shape = TreeShape(d=2, n=6)
-    stats = monte_carlo_free_energy(shape, GAUSS, 0.8, 1, 555)
+    stats = monte_carlo_free_energy(2, [6], GAUSS, [0.8], 1, 555).cell(0, 0)
     o = BranchEnergyOracle(derive_seed(555, TRIAL_STREAM, 0), GAUSS, shape)
     assert stats.values[0] == free_energy_per_step(o, 0.8)
 
 
+def test_grid_cell_equals_single_cell():
+    # repeated n included: each cell is the one-cell run on the same seed, bit for bit
+    ns, betas = [7, 4, 7], [0.5, 3.0]
+    grid = monte_carlo_free_energy(2, ns, GAUSS, betas, 5, 8080)
+    assert grid.mean.shape == grid.std.shape == (3, 2) and grid.values.shape == (5, 3, 2)
+    for r, n in enumerate(ns):
+        for c, beta in enumerate(betas):
+            one = monte_carlo_free_energy(2, [n], GAUSS, [beta], 5, 8080).cell(0, 0)
+            cell = grid.cell(r, c)
+            assert (cell.mean, cell.std) == (one.mean, one.std)
+            assert np.array_equal(cell.values, one.values) and cell.values.size == 5
+
+
+def test_run_trials_scalar_stats_are_plain_reductions():
+    stats = run_trials(lambda t, seed: math.sin(seed % 1000), 37, 5)
+    assert stats.values.shape == (37,)
+    assert stats.mean == float(stats.values.mean())
+    assert stats.std == float(stats.values.std(ddof=1))
+    assert run_trials(lambda t, seed: 1.5, 1, 5).std == 0.0
+
+
 def test_monte_carlo_matches_annealed_curve():
-    stats = monte_carlo_free_energy(TreeShape(d=2, n=16), GAUSS, 0.5, 50, 2024)
+    stats = monte_carlo_free_energy(2, [16], GAUSS, [0.5], 50, 2024).cell(0, 0)
     assert abs(stats.mean - phi(GAUSS, 2, 0.5)) < 0.05
 
 

@@ -15,6 +15,7 @@ from cayleycodec.harness import (
     EXIT_NOT_APPLICABLE,
     EXIT_OK,
     EXPERIMENT_KINDS,
+    MAX_GRID_POINTS,
     ConfigError,
     ExperimentConfig,
     run_dprm_converge,
@@ -82,6 +83,16 @@ def test_config_rejects_malformed_beta_grid(grid):
     base = {k: v for k, v in converge_config().items() if k != "beta"}
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(base | {"beta_grid": grid})
+
+
+def test_config_rejects_huge_beta_grid_at_once():
+    base = {k: v for k, v in converge_config().items() if k != "beta"}
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError, match="more than"):
+        ExperimentConfig.from_dict(base | {"beta_grid": {"start": 0.1, "stop": 2000.1, "step": 1e-9}})
+    assert time.perf_counter() - t0 < 1.0
+    cfg = ExperimentConfig.from_dict(base | {"beta_grid": {"start": 1.0, "stop": 1.99999, "step": 1e-5}})
+    assert len(cfg.betas) == MAX_GRID_POINTS
 
 
 def test_cli_rejects_nan_beta(tmp_path):

@@ -26,7 +26,7 @@ from cayleycodec import (
     walk_from_leaf,
     write_bitstream,
 )
-from cayleycodec.dprm import tree_ground_state
+from cayleycodec.dprm import tree_sweep
 
 Q4 = CodingDistribution([0.25] * 4)
 HAMMING4 = DistortionMatrix.hamming(4)
@@ -104,9 +104,24 @@ def test_encode_exact_is_dprm_ground_state():
         def energy_fn(t):
             return HAMMING4.values[x[t - 1]][code.generation_symbols(t)]
 
-        walk, emin = tree_ground_state(energy_fn, 2, 6)
+        sweep = tree_sweep(energy_fn, TreeShape(2, 6))
+        walk, emin = sweep.walk, sweep.min_energy
         assert list(res.walk) == list(walk)
         assert res.total_distortion == pytest.approx(emin, abs=1e-12)
+
+
+def test_encode_exact_matches_enumeration_exactly_with_float_distortions():
+    # non-integer distortions make ties that only rounding breaks; the walk
+    # and total must still be the enumeration's, exactly
+    rho = DistortionMatrix([[0.1, 0.2, 0.3], [0.3, 0.1, 0.2]])
+    Q = CodingDistribution([1 / 3] * 3)
+    for d, n in ((2, 5), (3, 4)):
+        for seed in range(12):
+            code = make_code(seed, d, n, Q)
+            x = (np.arange(n) * seed) % 2
+            res = encode_exact(code, x, rho)
+            bwalk, bmin = enumerate_ground_state(code_energies(code, x, rho), d, n)
+            assert list(res.walk) == list(bwalk) and res.total_distortion == bmin
 
 
 def test_encode_exact_validates_input():
