@@ -24,13 +24,11 @@ from .model import (
     symmetric_energy_law,
 )
 from .rd import RDPoint, TheoremReport, blahut_arimoto, rd_point_parametric, verify_d0_equals_d
-from .theory import D0Result, FreeEnergyLimit, beta_c, d0_of_r, f_limit, log_mgf, phi
+from .theory import D0Result, FreeEnergyLimit, beta_c, d0_of_r, f_limit, phi
 from .treecode import (
     Bitstream,
     EncodingResult,
-    EnsembleStats,
     TreeCode,
-    codeword_symbol,
     decode_sequential,
     encode_beam,
     encode_exact,

@@ -8,6 +8,7 @@ config plus a few overriding flags.  Exit codes: 0 on pass/completion,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .harness import (
@@ -35,13 +36,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = ExperimentConfig.from_file(args.config)
+        with open(args.config) as fh:
+            raw = json.load(fh)
+        if args.seed is not None:
+            # overridden before validation, so --seed meets the config seed's checks
+            raw["master_seed"] = args.seed
+        cfg = ExperimentConfig.from_dict(raw)
         if cfg.kind != args.kind:
             print(f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}",
                   file=sys.stderr)
             return EXIT_ERROR
-        if args.seed is not None:
-            cfg.master_seed = args.seed
         return run_experiment(cfg, args.out)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)

@@ -24,18 +24,9 @@ from .model import (
     DistortionMatrix,
     EnergyDistribution,
     SourceModel,
+    symmetric_energy_law,
 )
 from .rng import SOURCE_STREAM, uniforms
-
-EXPERIMENT_KINDS = (
-    "dprm-converge",
-    "phase-scan",
-    "encode",
-    "decode",
-    "rd-curve",
-    "verify-theorem",
-    "ensemble",
-)
 
 # largest {start, stop, step} beta_grid, checked before it is expanded
 MAX_GRID_POINTS = 100_000
@@ -154,11 +145,6 @@ class ExperimentConfig:
             cfg.bitstream = str(raw["bitstream"])
         return cfg
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
     def require(self, *names):
         for name in names:
             if getattr(self, name) in (None, [],):
@@ -173,9 +159,11 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
 
 
-def _write_summary(out_dir, name, payload) -> None:
+def _write_summary(out_dir, cfg: ExperimentConfig, payload) -> None:
+    """Writes payload plus the run's kind to <kind>_summary.json."""
+    name = cfg.kind.replace("-", "_") + "_summary.json"
     with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({"kind": cfg.kind, **payload}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -202,8 +190,7 @@ def run_dprm_converge(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
             rows.append((n, beta, cell.mean, cell.std, flim, cell.mean - flim))
     _write_csv(os.path.join(out, "dprm_converge.csv"),
                ["n", "beta", "mean_f_n", "std", "f_limit", "gap"], rows)
-    _write_summary(out, "dprm_converge_summary.json", {
-        "kind": cfg.kind,
+    _write_summary(out, cfg, {
         "master_seed": cfg.master_seed,
         "d": cfg.d,
         "n_list": ns,
@@ -219,9 +206,11 @@ def run_phase_scan(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     cfg.require("energy", "d", "betas")
     if len(cfg.betas) < 3:
         raise ConfigError("phase-scan: beta grid too small")
-    out = _ensure_out(out_dir)
-    limit = theory.FreeEnergyLimit.for_distribution(cfg.energy, cfg.d)
     betas = np.asarray(cfg.betas)
+    # finite differences and the bracketing of beta_c both read the grid in order
+    if np.any(np.diff(betas) <= 0):
+        raise ConfigError("phase-scan: beta grid must be strictly increasing")
+    limit = theory.FreeEnergyLimit.for_distribution(cfg.energy, cfg.d)
     transition = limit.frozen_phase_exists and betas[0] < limit.beta_c < betas[-1]
     if transition:
         n_lo = int((betas < limit.beta_c).sum())
@@ -231,14 +220,14 @@ def run_phase_scan(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
                 f"phase-scan: need >= 5 grid points per side of beta_c={limit.beta_c:.6g}, "
                 f"got {n_lo} below and {n_hi} above"
             )
+    out = _ensure_out(out_dir)
     f = np.array([limit.f(b) for b in betas])
     d1 = np.gradient(f, betas)
     d2 = np.gradient(d1, betas)
     rows = [(float(b), float(fv), float(g1), float(g2)) for b, fv, g1, g2 in zip(betas, f, d1, d2)]
     _write_csv(os.path.join(out, "phase_scan.csv"), ["beta", "f", "df", "d2f"], rows)
     kink = float(betas[int(np.argmax(np.abs(np.diff(d2))))]) if transition else None
-    _write_summary(out, "phase_scan_summary.json", {
-        "kind": cfg.kind,
+    _write_summary(out, cfg, {
         "d": cfg.d,
         "beta_c": limit.beta_c if limit.frozen_phase_exists else "INFINITE",
         "phi_at_beta_c": limit.phi_at_beta_c,
@@ -273,8 +262,7 @@ def run_encode(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     stream = treecode.pack(result.walk, cfg.d)
     stream_path = os.path.join(out, cfg.bitstream or "encoded.bin")
     treecode.write_bitstream(stream_path, code, stream)
-    _write_summary(out, "encode_summary.json", {
-        "kind": cfg.kind,
+    _write_summary(out, cfg, {
         "master_seed": cfg.master_seed,
         "d": cfg.d,
         "n": cfg.n,
@@ -299,8 +287,7 @@ def run_decode(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     symbols = treecode.decode_sequential(code, stream)
     _write_csv(os.path.join(out, "decoded.csv"), ["t", "symbol"],
                [(t + 1, int(s)) for t, s in enumerate(symbols)])
-    _write_summary(out, "decode_summary.json", {
-        "kind": cfg.kind,
+    _write_summary(out, cfg, {
         "d": d,
         "n": n,
         "code_seed": seed,
@@ -313,9 +300,9 @@ def run_rd_curve(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     cfg.require("source", "distortion", "betas")
     out = _ensure_out(out_dir)
     points = [rd.blahut_arimoto(cfg.source, cfg.distortion, b) for b in cfg.betas]
-    rd.export_curve(points, os.path.join(out, "rd_curve.csv"))
-    _write_summary(out, "rd_curve_summary.json", {
-        "kind": cfg.kind,
+    _write_csv(os.path.join(out, "rd_curve.csv"), ["beta", "R_nats", "R_bits", "D", "converged"],
+               [(p.beta, p.R, p.R / math.log(2), p.D, int(p.converged)) for p in points])
+    _write_summary(out, cfg, {
         "betas": cfg.betas,
         "points": len(points),
         "all_converged": all(p.converged for p in points),
@@ -325,6 +312,8 @@ def run_rd_curve(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
 
 def run_ensemble(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     cfg.require("source", "coding", "distortion", "d", "n")
+    # the bound D0 exists only under the symmetry hypothesis; SymmetryError otherwise
+    d0 = theory.d0_of_r(symmetric_energy_law(cfg.coding, cfg.distortion), math.log(cfg.d))
     out = _ensure_out(out_dir)
     stats = treecode.simulate_ensemble(
         cfg.source, cfg.coding, cfg.distortion,
@@ -332,9 +321,8 @@ def run_ensemble(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         fixed_sequence=cfg.fixed_sequence,
     )
     _write_csv(os.path.join(out, "ensemble.csv"), ["trial", "mean_distortion"],
-               [(t, float(v)) for t, v in enumerate(stats.per_trial_mean_distortion)])
-    _write_summary(out, "ensemble_summary.json", {
-        "kind": cfg.kind,
+               [(t, float(v)) for t, v in enumerate(stats.values)])
+    _write_summary(out, cfg, {
         "master_seed": cfg.master_seed,
         "d": cfg.d,
         "n": cfg.n,
@@ -342,9 +330,9 @@ def run_ensemble(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         "fixed_sequence": cfg.fixed_sequence,
         "mean": stats.mean,
         "std": stats.std,
-        "d0": stats.d0,
-        "d0_degenerate": stats.d0_degenerate,
-        "gap": stats.gap,
+        "d0": d0.value,
+        "d0_degenerate": d0.degenerate,
+        "gap": stats.mean - d0.value,
     })
     return EXIT_OK
 
@@ -370,8 +358,7 @@ def run_verify_theorem(cfg: ExperimentConfig, out_dir: str | None = None) -> int
     if rows:
         _write_csv(os.path.join(out, "verify_theorem.csv"),
                    ["n", "mean_distortion", "std", "d_of_r", "gap"], rows)
-    _write_summary(out, "verify_theorem_summary.json", {
-        "kind": cfg.kind,
+    _write_summary(out, cfg, {
         "master_seed": cfg.master_seed,
         "d": cfg.d,
         "trials": cfg.trials,
@@ -400,6 +387,9 @@ RUNNERS = {
     "verify-theorem": run_verify_theorem,
     "ensemble": run_ensemble,
 }
+
+
+EXPERIMENT_KINDS = tuple(RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:

@@ -151,10 +151,6 @@ class EnergyDistribution:
             raise ValueError("EnergyDistribution: Gaussian mean and std must be finite, std > 0")
         return cls(kind="gaussian", mean_param=float(mean), std_param=float(std))
 
-    @classmethod
-    def point_mass(cls, value: float) -> "EnergyDistribution":
-        return cls.discrete([value], [1.0])
-
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Inverse-transform draws from uniforms in (0,1)."""
         if self.kind == "discrete":
@@ -174,18 +170,6 @@ class EnergyDistribution:
             w = np.exp(a - a.max())
             return float(-(self.values * w).sum() / w.sum())
         return -self.mean_param + beta * self.std_param**2
-
-    @property
-    def support_min(self) -> float:
-        if self.kind == "discrete":
-            return float(self.values[0])
-        return -np.inf
-
-    @property
-    def support_max(self) -> float:
-        if self.kind == "discrete":
-            return float(self.values[-1])
-        return np.inf
 
     @property
     def mean(self) -> float:

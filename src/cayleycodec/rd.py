@@ -7,7 +7,6 @@ Rates are in nats throughout; bits appear only in CSV export columns.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -16,10 +15,14 @@ import numpy as np
 from .model import (
     CodingDistribution, DistortionMatrix, SourceModel, SymmetryError, symmetric_energy_law
 )
-from .theory import BETA_MAX, D0Result, d0_of_r
+from .theory import BETA_MAX, d0_of_r
 
 # rate accuracy (nats) of the slope bisection in verify_d0_equals_d
 R_TOL = 1e-8
+# Blahut-Arimoto stops once successive output marginals are within BA_TOL in
+# total variation, or after BA_MAX_ITER updates
+BA_TOL = 1e-12
+BA_MAX_ITER = 20000
 # largest |D0(ln d) - D(ln d)| that verify_d0_equals_d calls a pass
 D0_TOL = 1e-4
 
@@ -34,24 +37,15 @@ class RDPoint:
     converged: bool
 
 
-def blahut_arimoto(
-    P: SourceModel,
-    rho: DistortionMatrix,
-    beta: float,
-    tol: float = 1e-12,
-    max_iter: int = 20000,
-) -> RDPoint:
+def blahut_arimoto(P: SourceModel, rho: DistortionMatrix, beta: float) -> RDPoint:
     """One point of the rate-distortion curve at Lagrangian slope beta.
 
     Alternates the test-channel and output-marginal updates from the uniform
-    initial marginal; stops once successive output marginals are within tol
-    in total variation.  Non-convergence is reported via the flag, not an
-    exception.
+    initial marginal until BA_TOL or BA_MAX_ITER stops it.  Non-convergence
+    is reported via the flag, not an exception.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     if P.alphabet_size != rho.rows:
         raise ValueError("source and distortion matrix disagree on |X|")
     p = P.probs
@@ -75,13 +69,13 @@ def blahut_arimoto(
     q = np.full(rho.cols, 1.0 / rho.cols)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, BA_MAX_ITER + 1):
         w = expm * q  # unnormalized test channel
         w /= w.sum(axis=1, keepdims=True)
         q_new = p @ w
         tv = 0.5 * np.abs(q_new - q).sum()
         q = q_new
-        if tv < tol:
+        if tv < BA_TOL:
             converged = True
             break
     w = expm * q
@@ -183,7 +177,7 @@ def verify_d0_equals_d(P: SourceModel, rho: DistortionMatrix, d: int) -> Theorem
             q_star=q_star,
             detail=f"theorem hypothesis fails: {exc}",
         )
-    d0: D0Result = d0_of_r(law, r_target)
+    d0 = d0_of_r(law, r_target)
     gap = abs(d0.value - point.D)
     return TheoremReport(
         d0=d0.value,
@@ -197,13 +191,3 @@ def verify_d0_equals_d(P: SourceModel, rho: DistortionMatrix, d: int) -> Theorem
         detail="degenerate zero-distortion endpoint" if (degenerate or d0.degenerate) else "",
     )
 
-
-def export_curve(points, path) -> None:
-    """CSV rows (beta, R_nats, R_bits, D, converged)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "R_nats", "R_bits", "D", "converged"])
-        for pt in points:
-            writer.writerow(
-                [f"{pt.beta:.12g}", f"{pt.R:.12g}", f"{pt.R / math.log(2):.12g}", f"{pt.D:.12g}", int(pt.converged)]
-            )

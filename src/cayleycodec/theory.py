@@ -24,13 +24,6 @@ from .model import EnergyDistribution
 BETA_MAX = 1e4
 
 
-def log_mgf(energy_dist: EnergyDistribution, beta: float) -> float:
-    """ln E{exp(-beta eps)}; finite for all beta >= 0 in both variants."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    return energy_dist.log_mgf(beta)
-
-
 def phi(energy_dist: EnergyDistribution, d: int, beta: float) -> float:
     """Annealed free-energy curve (ln d + log-MGF) / beta."""
     if beta <= 0:
@@ -38,14 +31,6 @@ def phi(energy_dist: EnergyDistribution, d: int, beta: float) -> float:
     if d < 1:
         raise ValueError("d must be >= 1")
     return (math.log(d) + energy_dist.log_mgf(beta)) / beta
-
-
-def _stationarity(energy_dist: EnergyDistribution, d: int, beta: float) -> float:
-    """Numerator of phi'(beta): beta * (ln M)'(beta) - ln d - ln M(beta).
-
-    A sign change from negative to positive locates the minimizer of phi.
-    """
-    return beta * energy_dist.log_mgf_prime(beta) - math.log(d) - energy_dist.log_mgf(beta)
 
 
 def beta_c(energy_dist: EnergyDistribution, d: int) -> float:
@@ -59,7 +44,8 @@ def beta_c(energy_dist: EnergyDistribution, d: int) -> float:
         raise ValueError("d must be >= 1")
     if d == 1:
         return math.inf
-    g = lambda b: _stationarity(energy_dist, d, b)
+    # numerator of phi'(beta); its sign change from - to + locates the minimizer
+    g = lambda b: b * energy_dist.log_mgf_prime(b) - math.log(d) - energy_dist.log_mgf(b)
     lo = 1e-8
     hi = 1.0
     while g(hi) <= 0.0:
@@ -106,10 +92,6 @@ class D0Result:
     value: float
     degenerate: bool  # True when the maximizing beta runs off to infinity
     beta_star: float  # finite beta_c, or BETA_MAX when degenerate
-    d: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def d0_of_r(law: EnergyDistribution, R: float) -> D0Result:
@@ -127,5 +109,5 @@ def d0_of_r(law: EnergyDistribution, R: float) -> D0Result:
     limit = FreeEnergyLimit.for_distribution(law, d)
     value = -limit.phi_at_beta_c + 0.0  # normalize -0.0
     if limit.frozen_phase_exists:
-        return D0Result(value=value, degenerate=False, beta_star=limit.beta_c, d=d)
-    return D0Result(value=value, degenerate=True, beta_star=BETA_MAX, d=d)
+        return D0Result(value=value, degenerate=False, beta_star=limit.beta_c)
+    return D0Result(value=value, degenerate=True, beta_star=BETA_MAX)

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import theory
-from .dprm import TreeShape, run_trials, tree_sweep, validate_walk, walk_from_leaf
-from .model import CodingDistribution, DistortionMatrix, SourceModel, symmetric_energy_law
+from .dprm import MonteCarloStats, TreeShape, run_trials, tree_sweep, validate_walk, walk_from_leaf
+from .model import CodingDistribution, DistortionMatrix, SourceModel
 from .rng import CODEBOOK_STREAM, SOURCE_STREAM, uniforms
 
 _MAGIC = b"CAYCODE1"
@@ -49,24 +48,6 @@ class TreeCode:
         if not (1 <= t <= self.shape.n):
             raise ValueError(f"generation {t} out of range 1..{self.shape.n}")
         return self._symbols_at(t, np.arange(self.shape.d**t, dtype=np.uint64))
-
-
-def _path_to_index(path) -> int:
-    path = np.asarray(path, dtype=np.int64)
-    if path.ndim == 0:
-        return int(path)
-    return int(path[-1])
-
-
-def codeword_symbol(code: TreeCode, t: int, path) -> int:
-    """Reproduction letter on the branch reached by (j_1..j_t); accepts the
-    absolute index j_t alone, since it determines the path."""
-    if not (1 <= t <= code.shape.n):
-        raise ValueError(f"time {t} out of range 1..{code.shape.n}")
-    j = _path_to_index(path)
-    if not (0 <= j < code.shape.d**t):
-        raise ValueError(f"branch index {j} out of range for generation {t}")
-    return int(code._symbols_at(t, j))
 
 
 @dataclass(frozen=True)
@@ -216,35 +197,24 @@ def write_bitstream(path, code: TreeCode, stream: Bitstream) -> None:
 
 
 def read_bitstream(path) -> tuple[int, int, int, Bitstream]:
-    """Returns (d, n, master_seed, bitstream)."""
+    """Returns (d, n, master_seed, bitstream).  Reads at most one byte past
+    the payload the header implies: unpack rejects any other length, and an
+    oversized file is never loaded."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < HEADER_SIZE:
-        raise ValueError("bitstream file truncated before header end")
-    magic, d, n, seed = _HEADER.unpack(raw[:HEADER_SIZE])
-    if magic != _MAGIC:
-        raise ValueError("not a tree-code bitstream file")
-    if d < 2:
-        raise ValueError(f"bitstream header has d={d}; a tree code needs d >= 2")
-    return d, n, seed, Bitstream(data=raw[HEADER_SIZE:], n=n, d=d)
+        header = fh.read(HEADER_SIZE)
+        if len(header) < HEADER_SIZE:
+            raise ValueError("bitstream file truncated before header end")
+        magic, d, n, seed = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise ValueError("not a tree-code bitstream file")
+        if d < 2:
+            raise ValueError(f"bitstream header has d={d}; a tree code needs d >= 2")
+        nbytes = (Bitstream(data=b"", n=n, d=d).num_bits + 7) // 8
+        return d, n, seed, Bitstream(data=fh.read(nbytes + 1), n=n, d=d)
 
 
 # ---------------------------------------------------------------------------
 # ensemble simulation
-
-
-@dataclass(frozen=True)
-class EnsembleStats:
-    per_trial_mean_distortion: np.ndarray
-    mean: float
-    std: float
-    d0: float
-    d0_degenerate: bool
-    gap: float  # mean - d0
-    n: int
-    d: int
-    trials: int
-    fixed_sequence: bool
 
 
 def simulate_ensemble(
@@ -256,33 +226,19 @@ def simulate_ensemble(
     trials: int,
     master_seed: int,
     fixed_sequence: bool = False,
-) -> EnsembleStats:
-    """Monte-Carlo distortion of the exact encoder over independent codes.
+) -> MonteCarloStats:
+    """Monte-Carlo per-symbol distortion of the exact encoder over
+    independent codes, one value per trial.
 
     Each trial draws a fresh code; the source n-tuple is redrawn per trial
     unless fixed_sequence is set, in which case one sequence is held across
     code redraws (the faithful test of the per-individual-sequence claim).
-    Refuses non-symmetric instances: the theorem's hypothesis fails there.
     """
-    law = symmetric_energy_law(Q, rho)
     shape = TreeShape(d=d, n=n)
-    d0 = theory.d0_of_r(law, math.log(d))
 
     def trial(t: int, seed: int) -> float:
         src_key = 0 if fixed_sequence else t
         x = source.sample(uniforms(master_seed, SOURCE_STREAM, src_key, np.arange(n, dtype=np.uint64)))
         return encode_exact(TreeCode(seed, Q, shape), x, rho).per_symbol_mean
 
-    stats = run_trials(trial, trials, master_seed)
-    return EnsembleStats(
-        per_trial_mean_distortion=stats.values,
-        mean=stats.mean,
-        std=stats.std,
-        d0=d0.value,
-        d0_degenerate=d0.degenerate,
-        gap=stats.mean - d0.value,
-        n=n,
-        d=d,
-        trials=trials,
-        fixed_sequence=fixed_sequence,
-    )
+    return run_trials(trial, trials, master_seed)

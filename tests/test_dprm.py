@@ -76,7 +76,7 @@ def test_branch_energy_deterministic():
 
 
 def test_point_mass_energies_are_constant():
-    o = BranchEnergyOracle(7, EnergyDistribution.point_mass(2.5), TreeShape(d=3, n=3))
+    o = BranchEnergyOracle(7, EnergyDistribution.discrete([2.5], [1.0]), TreeShape(d=3, n=3))
     for i in range(1, 4):
         assert np.all(o.generation_energies(i) == 2.5)
 
@@ -103,7 +103,7 @@ def test_log_partition_single_chain():
 
 
 def test_log_partition_zero_energies():
-    o = BranchEnergyOracle(1, EnergyDistribution.point_mass(0.0), TreeShape(d=2, n=3))
+    o = BranchEnergyOracle(1, EnergyDistribution.discrete([0.0], [1.0]), TreeShape(d=2, n=3))
     for beta in (0.5, 1.0, 7.0):
         assert log_partition_function(o, beta) == pytest.approx(3 * math.log(2), abs=1e-12)
 
@@ -127,7 +127,7 @@ def test_log_partition_matches_enumeration(seed):
 
 
 def test_free_energy_per_step_sign_convention():
-    o = BranchEnergyOracle(1, EnergyDistribution.point_mass(0.0), TreeShape(d=2, n=3))
+    o = BranchEnergyOracle(1, EnergyDistribution.discrete([0.0], [1.0]), TreeShape(d=2, n=3))
     assert free_energy_per_step(o, 1.0) == pytest.approx(math.log(2), abs=1e-12)
     # d=1 chain: f = -(mean energy), independent of beta
     f = tree_sweep(lambda i: chain_oracle([1.0, 2.0, 3.0])[i], TreeShape(1, 3), [2.0]).log_z[0, 0] / (3 * 2.0)
@@ -135,7 +135,7 @@ def test_free_energy_per_step_sign_convention():
 
 
 def test_internal_energy_constant_energies():
-    o = BranchEnergyOracle(5, EnergyDistribution.point_mass(1.5), TreeShape(d=2, n=4))
+    o = BranchEnergyOracle(5, EnergyDistribution.discrete([1.5], [1.0]), TreeShape(d=2, n=4))
     for beta in (0.3, 1.0, 4.0):
         assert internal_energy(o, beta) == pytest.approx(4 * 1.5, abs=1e-10)
 
@@ -166,7 +166,7 @@ def test_internal_energy_within_path_energy_range():
 
 
 def test_ground_state_tie_break_is_lexicographic():
-    o = BranchEnergyOracle(9, EnergyDistribution.point_mass(1.0), TreeShape(d=3, n=3))
+    o = BranchEnergyOracle(9, EnergyDistribution.discrete([1.0], [1.0]), TreeShape(d=3, n=3))
     walk, e = ground_state(o)
     assert list(walk) == [0, 0, 0]
     assert e == pytest.approx(3.0)
@@ -285,7 +285,7 @@ def test_determinism_across_runs():
 
 def test_monte_carlo_point_mass():
     c = 0.7
-    stats = monte_carlo_free_energy(2, [5], EnergyDistribution.point_mass(c), [2.0], 4, 13).cell(0, 0)
+    stats = monte_carlo_free_energy(2, [5], EnergyDistribution.discrete([c], [1.0]), [2.0], 4, 13).cell(0, 0)
     assert stats.mean == pytest.approx(math.log(2) / 2.0 - c, abs=1e-12)
     assert stats.std == 0.0
 

@@ -405,3 +405,34 @@ def test_cli_seed_override(tmp_path):
     assert a == b
     summary = json.loads((tmp_path / "s1" / "dprm_converge_summary.json").read_text())
     assert summary["master_seed"] == 123
+
+
+@pytest.mark.parametrize("seed, code", [(2**64, 1), (-1, 1), (2**64 - 1, 0)])
+def test_cli_seed_override_is_validated(tmp_path, seed, code):
+    cfg = write_config(tmp_path, {
+        "kind": "encode",
+        "master_seed": 0,
+        "models": {"coding": {"probs": [0.5, 0.5]}, "distortion": {"hamming": 2}},
+        "shape": {"d": 2, "n": 4},
+        "x": [0, 1, 1, 0],
+    })
+    out = tmp_path / "out"
+    assert main(["encode", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == code
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("grid", [
+    [0.5, 0.6, 0.6, 0.7, 0.8, 0.9, 1.0, 1.3, 1.4, 1.5, 1.6, 1.7],
+    [round(2.0 - 0.05 * k, 2) for k in range(31)],  # 2.0 down to 0.5, across beta_c
+])
+def test_cli_phase_scan_rejects_unordered_grid(tmp_path, grid):
+    cfg = write_config(tmp_path, {
+        "kind": "phase-scan",
+        "master_seed": 1,
+        "models": {"energy": GAUSS_ENERGY},
+        "shape": {"d": 2},
+        "beta_grid": grid,
+    })
+    out = tmp_path / "out"
+    assert main(["phase-scan", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()

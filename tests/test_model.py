@@ -56,7 +56,7 @@ def test_distortion_matrix_rejects_bad_entries():
 
 def test_energy_distribution_variants():
     d = EnergyDistribution.discrete([1.0, 0.0], [0.25, 0.75])
-    assert d.support_min == 0.0 and d.support_max == 1.0
+    assert d.values[0] == 0.0 and d.values[-1] == 1.0
     assert d.mean == pytest.approx(0.25)
     for mean, std in [(0.0, 0.0), (np.nan, 1.0), (np.inf, 1.0), (0.0, np.inf), (0.0, np.nan)]:
         with pytest.raises(ValueError):

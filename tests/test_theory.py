@@ -12,7 +12,6 @@ from cayleycodec import (
     beta_c,
     d0_of_r,
     f_limit,
-    log_mgf,
     phi,
     symmetric_energy_law,
 )
@@ -24,28 +23,23 @@ BETA_C_GAUSS = math.sqrt(2 * math.log(2))
 
 
 def test_log_mgf_point_mass():
-    pm = EnergyDistribution.point_mass(1.3)
+    pm = EnergyDistribution.discrete([1.3], [1.0])
     for beta in (0.0, 0.5, 3.0):
-        assert log_mgf(pm, beta) == pytest.approx(-beta * 1.3, abs=1e-12)
+        assert pm.log_mgf(beta) == pytest.approx(-beta * 1.3, abs=1e-12)
 
 
 def test_log_mgf_gaussian_closed_form():
-    assert log_mgf(GAUSS, 2.0) == pytest.approx(2.0, abs=1e-12)
+    assert GAUSS.log_mgf(2.0) == pytest.approx(2.0, abs=1e-12)
     g = EnergyDistribution.gaussian(1.5, 2.0)
-    assert log_mgf(g, 0.7) == pytest.approx(-0.7 * 1.5 + 0.49 * 4.0 / 2, abs=1e-12)
+    assert g.log_mgf(0.7) == pytest.approx(-0.7 * 1.5 + 0.49 * 4.0 / 2, abs=1e-12)
 
 
 def test_log_mgf_bernoulli():
-    assert log_mgf(BERN, 1.0) == pytest.approx(math.log((1 + math.exp(-1)) / 2), abs=1e-12)
-
-
-def test_log_mgf_rejects_negative_beta():
-    with pytest.raises(ValueError):
-        log_mgf(BERN, -0.1)
+    assert BERN.log_mgf(1.0) == pytest.approx(math.log((1 + math.exp(-1)) / 2), abs=1e-12)
 
 
 def test_phi_point_mass():
-    pm = EnergyDistribution.point_mass(0.4)
+    pm = EnergyDistribution.discrete([0.4], [1.0])
     assert phi(pm, 2, math.log(2)) == pytest.approx(1.0 - 0.4, abs=1e-12)
 
 
@@ -136,8 +130,8 @@ def test_phi_bounded_below_by_minus_max_atom():
     dist = EnergyDistribution.discrete([0.0, 0.5, 2.0], [0.2, 0.5, 0.3])
     limit = FreeEnergyLimit.for_distribution(dist, 3)
     for b in np.geomspace(0.05, 50, 100):
-        assert phi(dist, 3, b) >= -dist.support_max
-    assert limit.phi_at_beta_c >= -dist.support_max
+        assert phi(dist, 3, b) >= -dist.values[-1]
+    assert limit.phi_at_beta_c >= -dist.values[-1]
 
 
 def test_d0_binary_uniform_hamming_degenerate():

@@ -1,4 +1,7 @@
+import json
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from cayleycodec import (
     SymmetryError,
     TreeCode,
     TreeShape,
-    codeword_symbol,
+    d0_of_r,
     decode_sequential,
     encode_beam,
     encode_exact,
@@ -22,11 +25,13 @@ from cayleycodec import (
     read_bitstream,
     reproduction,
     simulate_ensemble,
+    symmetric_energy_law,
     unpack,
     walk_from_leaf,
     write_bitstream,
 )
 from cayleycodec.dprm import tree_sweep
+from cayleycodec.harness import ExperimentConfig, run_ensemble
 
 Q4 = CodingDistribution([0.25] * 4)
 HAMMING4 = DistortionMatrix.hamming(4)
@@ -38,23 +43,19 @@ def make_code(seed, d, n, Q=Q4):
 
 def test_codeword_symbol_deterministic():
     code = make_code(5, 2, 6)
-    assert codeword_symbol(code, 4, 9) == codeword_symbol(code, 4, 9)
-    # path form and absolute index form agree
-    assert codeword_symbol(code, 3, [1, 2, 5]) == codeword_symbol(code, 3, 5)
+    assert code.generation_symbols(4)[9] == code.generation_symbols(4)[9]
 
 
 def test_codeword_symbol_point_mass_q():
     code = make_code(5, 2, 4, CodingDistribution([0.0, 1.0, 0.0]))
     for t in range(1, 5):
-        assert codeword_symbol(code, t, 0) == 1
+        assert code.generation_symbols(t)[0] == 1
 
 
 def test_codeword_symbol_range_checks():
     code = make_code(5, 2, 3)
     with pytest.raises(ValueError):
-        codeword_symbol(code, 0, 0)
-    with pytest.raises(ValueError):
-        codeword_symbol(code, 2, 4)
+        code.generation_symbols(0)
 
 
 def test_codeword_symbol_frequencies():
@@ -69,7 +70,7 @@ def test_encode_exact_n1_is_argmin():
     code = make_code(3, 4, 1)
     x = [2]
     res = encode_exact(code, x, HAMMING4)
-    dists = [HAMMING4.values[2, codeword_symbol(code, 1, j)] for j in range(4)]
+    dists = [HAMMING4.values[2, code.generation_symbols(1)[j]] for j in range(4)]
     assert res.total_distortion == min(dists)
     assert res.walk[0] == int(np.argmin(dists))
 
@@ -147,7 +148,7 @@ def test_encode_exact_not_worse_than_fixed_walk():
         res = encode_exact(code, x, HAMMING4)
         zeros_walk = walk_from_leaf(0, code.shape)
         witness = sum(
-            HAMMING4.values[x[t - 1], codeword_symbol(code, t, int(zeros_walk[t - 1]))]
+            HAMMING4.values[x[t - 1], code.generation_symbols(t)[int(zeros_walk[t - 1])]]
             for t in range(1, 7)
         )
         assert res.total_distortion <= witness + 1e-12
@@ -161,7 +162,7 @@ def test_beam_m1_is_greedy():
     walk = []
     for t in range(1, 6):
         kids = [2 * j + r for r in range(2)]
-        costs = [HAMMING4.values[x[t - 1], codeword_symbol(code, t, k)] for k in kids]
+        costs = [HAMMING4.values[x[t - 1], code.generation_symbols(t)[k]] for k in kids]
         j = kids[int(np.argmin(costs))]
         walk.append(j)
     assert list(res.walk) == walk
@@ -288,14 +289,14 @@ def test_decode_single_step():
     code = make_code(2, 4, 1)
     res = encode_exact(code, [1], HAMMING4)
     out = decode_sequential(code, pack(res.walk, 4))
-    assert out[0] == codeword_symbol(code, 1, int(res.walk[0]))
+    assert out[0] == code.generation_symbols(1)[int(res.walk[0])]
 
 
 def test_decode_matches_independent_recomputation():
     code = make_code(31, 2, 5)
     res = encode_exact(code, [0, 1, 2, 3, 0], HAMMING4)
     stream = pack(res.walk, 2)
-    recomputed = [codeword_symbol(code, t, int(res.walk[t - 1])) for t in range(1, 6)]
+    recomputed = [code.generation_symbols(t)[int(res.walk[t - 1])] for t in range(1, 6)]
     assert list(decode_sequential(code, stream)) == recomputed
 
 
@@ -337,29 +338,54 @@ def test_read_bitstream_rejects_garbage(tmp_path):
         read_bitstream(path)
 
 
+def test_read_bitstream_rejects_oversized_file_without_loading_it(tmp_path):
+    path = tmp_path / "big.bin"
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">8sIIQ", b"CAYCODE1", 2, 8, 7))
+        fh.truncate(24 + 64 * 2**20)  # sparse: a valid header, then 64 MiB of zeros
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="expected 1 for"):
+            unpack(read_bitstream(path)[3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_simulate_ensemble_constant_distortion():
     c = 0.3
     rho = DistortionMatrix(np.full((2, 2), c))
-    stats = simulate_ensemble(
-        SourceModel([0.5, 0.5]), CodingDistribution([0.5, 0.5]), rho,
-        d=2, n=5, trials=4, master_seed=7,
-    )
-    assert np.all(stats.per_trial_mean_distortion == c)
+    Q = CodingDistribution([0.5, 0.5])
+    stats = simulate_ensemble(SourceModel([0.5, 0.5]), Q, rho, d=2, n=5, trials=4, master_seed=7)
+    assert np.all(stats.values == c)
     assert stats.std == 0.0
-    assert stats.d0 == pytest.approx(c, abs=1e-3)
+    assert d0_of_r(symmetric_energy_law(Q, rho), math.log(2)).value == pytest.approx(c, abs=1e-3)
 
 
-def test_simulate_ensemble_refuses_asymmetric():
+def ensemble_config(source, coding, distortion, d, n, trials, master_seed, fixed_sequence=False):
+    return ExperimentConfig.from_dict({
+        "kind": "ensemble",
+        "master_seed": master_seed,
+        "models": {"source": {"probs": source}, "coding": {"probs": coding}, "distortion": distortion},
+        "shape": {"d": d, "n": n},
+        "trials": trials,
+        "fixed_sequence": fixed_sequence,
+    })
+
+
+def test_simulate_ensemble_refuses_asymmetric(tmp_path):
+    cfg = ensemble_config([0.5, 0.5], [0.9, 0.1], {"hamming": 2}, d=2, n=4, trials=1, master_seed=1)
     with pytest.raises(SymmetryError):
-        simulate_ensemble(
-            SourceModel([0.5, 0.5]), CodingDistribution([0.9, 0.1]),
-            DistortionMatrix.hamming(2), d=2, n=4, trials=1, master_seed=1,
-        )
+        run_ensemble(cfg, str(tmp_path))
 
 
-def test_simulate_ensemble_fixed_sequence_reuses_source():
+def test_simulate_ensemble_fixed_sequence_reuses_source(tmp_path):
     kw = dict(d=2, n=8, trials=3, master_seed=42, fixed_sequence=True)
     a = simulate_ensemble(SourceModel([0.25] * 4), Q4, HAMMING4, **kw)
     b = simulate_ensemble(SourceModel([0.25] * 4), Q4, HAMMING4, **kw)
-    assert np.array_equal(a.per_trial_mean_distortion, b.per_trial_mean_distortion)
-    assert a.gap == a.mean - a.d0
+    assert np.array_equal(a.values, b.values)
+    run_ensemble(ensemble_config([0.25] * 4, [0.25] * 4, {"hamming": 4}, **kw), str(tmp_path))
+    summary = json.loads((tmp_path / "ensemble_summary.json").read_text())
+    assert summary["mean"] == a.mean
+    assert summary["gap"] == summary["mean"] - summary["d0"]
