@@ -171,12 +171,6 @@ class EnergyDistribution:
             return float(-(self.values * w).sum() / w.sum())
         return -self.mean_param + beta * self.std_param**2
 
-    @property
-    def mean(self) -> float:
-        if self.kind == "discrete":
-            return float(self.values @ self.probs)
-        return self.mean_param
-
 
 def symmetric_energy_law(Q: CodingDistribution, rho: DistortionMatrix) -> EnergyDistribution:
     """Common law of the branch energy rho(x, Y), Y ~ Q, over every source

@@ -91,7 +91,6 @@ def f_limit(energy_dist: EnergyDistribution, d: int, beta: float) -> float:
 class D0Result:
     value: float
     degenerate: bool  # True when the maximizing beta runs off to infinity
-    beta_star: float  # finite beta_c, or BETA_MAX when degenerate
 
 
 def d0_of_r(law: EnergyDistribution, R: float) -> D0Result:
@@ -108,6 +107,4 @@ def d0_of_r(law: EnergyDistribution, R: float) -> D0Result:
         raise ValueError(f"R={R!r} is not ln(d) for an integer d >= 2")
     limit = FreeEnergyLimit.for_distribution(law, d)
     value = -limit.phi_at_beta_c + 0.0  # normalize -0.0
-    if limit.frozen_phase_exists:
-        return D0Result(value=value, degenerate=False, beta_star=limit.beta_c)
-    return D0Result(value=value, degenerate=True, beta_star=BETA_MAX)
+    return D0Result(value=value, degenerate=not limit.frozen_phase_exists)

@@ -88,19 +88,27 @@ def encode_exact(code: TreeCode, x, rho: DistortionMatrix) -> EncodingResult:
     return _result_from_walk(code, x, rho, walk)
 
 
-def _beam_pass(code: TreeCode, x: np.ndarray, rho: DistortionMatrix, M: int) -> tuple[int, float]:
-    """One M-algorithm sweep; returns (best leaf index, its distortion)."""
+# Cap on one block's (rows x width*d) sweep arrays; a block has at least one row.
+_BEAM_CELLS = 1 << 20
+
+
+def _beam_sweep(code: TreeCode, x: np.ndarray, rho: DistortionMatrix, widths: np.ndarray) -> tuple[list, list]:
+    """M-algorithm sweeps of ascending widths, one row each; row w keeps its
+    first w survivors and pads the rest with distortion inf, so it sums and
+    sorts exactly as a lone width-w sweep.  Returns (best leaves, distortions)."""
     d, n = code.shape.d, code.shape.n
-    surv_idx = np.zeros(1, dtype=np.int64)  # node indices at generation t-1
-    surv_dist = np.zeros(1)
+    surv_idx = np.zeros((widths.size, 1), dtype=np.int64)  # node indices at generation t-1
+    surv_dist = np.zeros((widths.size, 1))
     for t in range(1, n + 1):
-        cand = (d * surv_idx[:, None] + np.arange(d, dtype=np.int64)).ravel()
-        e = rho.values[x[t - 1]][code._symbols_at(t, cand.astype(np.uint64))]
-        dist = np.repeat(surv_dist, d) + e
+        cand = (d * surv_idx[:, :, None] + np.arange(d, dtype=np.int64)).reshape(widths.size, -1)
+        dist = np.repeat(surv_dist, d, axis=1)
+        live = dist < np.inf
+        dist[live] += rho.values[x[t - 1]][code._symbols_at(t, cand[live].astype(np.uint64))]
         # absolute index order == lexicographic order on the full path
-        order = np.lexsort((cand, dist))[:M]
-        surv_idx, surv_dist = cand[order], dist[order]
-    return int(surv_idx[0]), float(surv_dist[0])
+        order = np.lexsort((cand, dist), axis=-1)[:, : widths[-1]]
+        surv_idx, surv_dist = np.take_along_axis(cand, order, -1), np.take_along_axis(dist, order, -1)
+        surv_dist[np.arange(order.shape[1]) >= widths[:, None]] = np.inf
+    return surv_idx[:, 0].tolist(), surv_dist[:, 0].tolist()
 
 
 def encode_beam(code: TreeCode, x, rho: DistortionMatrix, M: int) -> EncodingResult:
@@ -110,18 +118,20 @@ def encode_beam(code: TreeCode, x, rho: DistortionMatrix, M: int) -> EncodingRes
     A single fixed-width sweep is not monotone in M (a wider beam can evict
     the narrow beam's eventual winner), so the result is the best leaf over
     sweeps of every width 1..M, which makes distortion nonincreasing in M by
-    construction.  Distortion is >= the exact encoder's; equal once
-    M >= d^(n-1), where the widest sweep is exhaustive.
+    construction.  All widths run as rows of one batched sweep, in blocks of
+    at most _BEAM_CELLS sort cells to cap memory.  Distortion is >= the exact
+    encoder's; equal once M >= d^(n-1), where the widest sweep is exhaustive.
     """
     if M < 1:
         raise ValueError("beam width M must be >= 1")
     x = _check_source_tuple(code, x, rho)
-    max_useful = code.shape.d ** (code.shape.n - 1)
+    W = min(M, code.shape.d ** (code.shape.n - 1))
+    rows = max(1, _BEAM_CELLS // (W * code.shape.d))
     best_leaf, best_dist = None, math.inf
-    for width in range(1, min(M, max_useful) + 1):
-        leaf, dist = _beam_pass(code, x, rho, width)
-        if dist < best_dist - 1e-15 or (abs(dist - best_dist) <= 1e-15 and leaf < best_leaf):
-            best_leaf, best_dist = leaf, dist
+    for lo in range(1, W + 1, rows):
+        for leaf, dist in zip(*_beam_sweep(code, x, rho, np.arange(lo, min(lo + rows, W + 1)))):
+            if dist < best_dist - 1e-15 or (abs(dist - best_dist) <= 1e-15 and leaf < best_leaf):
+                best_leaf, best_dist = leaf, dist
     walk = walk_from_leaf(best_leaf, code.shape)
     return _result_from_walk(code, x, rho, walk)
 
@@ -162,9 +172,8 @@ def unpack(stream: Bitstream) -> np.ndarray:
     nbits = stream.num_bits
     nbytes = (nbits + 7) // 8
     if len(stream.data) != nbytes:
-        raise ValueError(
-            f"bitstream has {len(stream.data)} bytes, expected {nbytes} for (d={stream.d}, n={stream.n})"
-        )
+        size = f"more than {nbytes}" if len(stream.data) > nbytes else len(stream.data)
+        raise ValueError(f"bitstream has {size} bytes, expected {nbytes} for (d={stream.d}, n={stream.n})")
     pad = nbytes * 8 - nbits
     value = int.from_bytes(stream.data, "big")
     if value & ((1 << pad) - 1):

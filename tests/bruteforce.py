@@ -58,3 +58,19 @@ def code_energies(code, x, rho):
         t: rho.values[x[t - 1]][code.generation_symbols(t)]
         for t in range(1, code.shape.n + 1)
     }
+
+
+def beam_pass(code, x, rho, M):
+    """One fixed-width M-algorithm sweep, one width at a time; returns
+    (best leaf index, its distortion).  Reference for the batched sweep."""
+    d, n = code.shape.d, code.shape.n
+    surv_idx = np.zeros(1, dtype=np.int64)  # node indices at generation t-1
+    surv_dist = np.zeros(1)
+    for t in range(1, n + 1):
+        cand = (d * surv_idx[:, None] + np.arange(d, dtype=np.int64)).ravel()
+        e = rho.values[x[t - 1]][code._symbols_at(t, cand.astype(np.uint64))]
+        dist = np.repeat(surv_dist, d) + e
+        # absolute index order == lexicographic order on the full path
+        order = np.lexsort((cand, dist))[:M]
+        surv_idx, surv_dist = cand[order], dist[order]
+    return int(surv_idx[0]), float(surv_dist[0])

@@ -186,10 +186,11 @@ def test_d0_consistent_with_induced_pipeline():
     res = d0_of_r(dist, math.log(2))
     limit = FreeEnergyLimit.for_distribution(dist, 2)
     assert res.value == -limit.phi_at_beta_c
-    assert res.beta_star == limit.beta_c
+    assert not res.degenerate
 
 
 def test_degenerate_d0_evaluated_at_beta_cap():
     law = symmetric_energy_law(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2))
     res = d0_of_r(law, math.log(2))
-    assert res.beta_star == BETA_MAX
+    assert res.degenerate
+    assert res.value == -phi(law, 2, BETA_MAX)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import code_energies, enumerate_ground_state
+from bruteforce import beam_pass, code_energies, enumerate_ground_state
 from cayleycodec import (
     Bitstream,
     CodingDistribution,
@@ -30,6 +30,7 @@ from cayleycodec import (
     walk_from_leaf,
     write_bitstream,
 )
+from cayleycodec import treecode
 from cayleycodec.dprm import tree_sweep
 from cayleycodec.harness import ExperimentConfig, run_ensemble
 
@@ -196,6 +197,45 @@ def test_beam_monotone_in_width_and_close_to_exact():
     assert mean_beam <= 1.1 * mean_exact
 
 
+# widths: 1, d^(n-1) and beyond it, except where d^(n-1) is too wide for the oracle
+@pytest.mark.parametrize(
+    "d, n, widths", [(2, 7, (1, 64, 67)), (3, 5, (1, 81, 84)), (4, 4, (1, 64, 67)), (2, 20, (1, 24))]
+)
+@pytest.mark.parametrize("decimal", [False, True])
+def test_beam_sweep_matches_per_width_oracle(d, n, widths, decimal):
+    # Hamming-4 sums tie often; one-decimal letters sum inexactly in floats
+    rng = np.random.default_rng(10 * d + n + decimal)
+    for seed in range(3):
+        rho = DistortionMatrix(rng.integers(1, 10, (4, 4)) / 10) if decimal else HAMMING4
+        code = make_code(seed, d, n)
+        x = rng.integers(0, 4, n)
+        for W in widths:
+            leaves, dists = treecode._beam_sweep(code, x, rho, np.arange(1, W + 1))
+            assert list(zip(leaves, dists)) == [
+                beam_pass(code, x, rho, w) for w in range(1, W + 1)
+            ]
+
+
+@pytest.mark.parametrize("d, n, M", [(2, 48, 32), (3, 8, 20)])
+def test_beam_blocks_do_not_change_the_result(monkeypatch, d, n, M):
+    code = make_code(3, d, n)
+    x = (np.arange(n) * 7) % 4
+    whole = encode_beam(code, x, HAMMING4, M)
+    for cells in (1, 5 * M * d):  # one row per block; several rows per block
+        monkeypatch.setattr(treecode, "_BEAM_CELLS", cells)
+        split = encode_beam(code, x, HAMMING4, M)
+        assert list(split.walk) == list(whole.walk)
+        assert split.total_distortion == whole.total_distortion
+
+
+def test_beam_draws_each_generation_once(monkeypatch):
+    calls = []
+    real = treecode.uniforms
+    monkeypatch.setattr(treecode, "uniforms", lambda *keys: calls.append(keys) or real(*keys))
+    encode_beam(make_code(8, 2, 48), np.arange(48) % 4, HAMMING4, 32)
+    assert len(calls) == 48 + 1  # one per generation, plus one to score the walk
+
+
 def test_pack_binary_example():
     # relative indices (0,1,1) at d=2 -> bits 011
     walk = np.array([0, 1, 3])
@@ -345,12 +385,13 @@ def test_read_bitstream_rejects_oversized_file_without_loading_it(tmp_path):
         fh.truncate(24 + 64 * 2**20)  # sparse: a valid header, then 64 MiB of zeros
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="expected 1 for"):
+        with pytest.raises(ValueError, match="expected 1 for") as err:
             unpack(read_bitstream(path)[3])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert "has 2 bytes" not in str(err.value) and "has more than 1 bytes" in str(err.value)
 
 
 def test_simulate_ensemble_constant_distortion():
