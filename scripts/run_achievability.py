@@ -3,8 +3,8 @@
 
 For a uniform source with Hamming distortion, runs the exact encoder over
 independent code draws at increasing block lengths and plots the mean
-per-symbol distortion approaching D(R) from above.  Companion script only,
-not part of the test suite.
+per-symbol distortion approaching D(R) from above.  Companion script;
+tests/test_scripts.py runs it once with tiny arguments.
 """
 
 import argparse

@@ -3,8 +3,8 @@
 
 Runs the phase-scan experiment for a Gaussian energy model, then (if
 matplotlib is available) renders f(beta) together with its first and second
-finite differences so the kink at beta_c is visible.  Companion script only,
-not part of the test suite.
+finite differences so the kink at beta_c is visible.  Companion script;
+tests/test_scripts.py runs it once with tiny arguments.
 """
 
 import argparse

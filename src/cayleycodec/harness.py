@@ -1,10 +1,10 @@
-"""Experiment orchestration: validated configs, reproducible campaigns,
-CSV/JSON outputs.
+"""Experiment orchestration in three steps: parse, run, write.
 
-All randomness flows from the config's single master seed through named
+`ExperimentConfig.from_dict` validates a config, including the fields its
+kind requires; each `run_<kind>` computes and returns its `Outputs` without
+touching the file system; `run_experiment` alone writes them, so a failed
+run writes nothing.  All randomness flows from the master seed through named
 substreams, so identical config + seed reproduces byte-identical outputs.
-Each run writes a CSV table (where tabular) plus a JSON summary echoing the
-config, seeds and verdicts.
 """
 
 from __future__ import annotations
@@ -35,6 +35,17 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_APPLICABLE = 2
 
+# fields each kind needs; encode also needs source when the config has no x
+_REQUIRED = {
+    "dprm-converge": ("energy", "d", "betas"),
+    "phase-scan": ("energy", "d", "betas"),
+    "encode": ("coding", "distortion", "d", "n"),
+    "decode": ("coding", "bitstream"),
+    "rd-curve": ("source", "distortion", "betas"),
+    "verify-theorem": ("source", "distortion", "d"),
+    "ensemble": ("source", "coding", "distortion", "d", "n"),
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -47,12 +58,6 @@ def _energy_dist_from(spec: dict) -> EnergyDistribution:
     if kind == "discrete":
         return EnergyDistribution.discrete(spec["values"], spec["probs"])
     raise ConfigError(f"energy distribution kind must be gaussian|discrete, got {kind!r}")
-
-
-def _distortion_from(spec: dict) -> DistortionMatrix:
-    if "hamming" in spec:
-        return DistortionMatrix.hamming(int(spec["hamming"]))
-    return DistortionMatrix(np.asarray(spec["rows"], dtype=np.float64))
 
 
 @dataclass
@@ -100,7 +105,9 @@ class ExperimentConfig:
         if "coding" in models:
             cfg.coding = CodingDistribution(np.asarray(models["coding"]["probs"], dtype=np.float64))
         if "distortion" in models:
-            cfg.distortion = _distortion_from(models["distortion"])
+            spec = models["distortion"]
+            cfg.distortion = (DistortionMatrix.hamming(int(spec["hamming"])) if "hamming" in spec
+                              else DistortionMatrix(np.asarray(spec["rows"], dtype=np.float64)))
         if "energy" in models:
             cfg.energy = _energy_dist_from(models["energy"])
 
@@ -143,43 +150,40 @@ class ExperimentConfig:
             cfg.x = [int(v) for v in raw["x"]]
         if "bitstream" in raw:
             cfg.bitstream = str(raw["bitstream"])
+
+        for name in _REQUIRED[kind] + (("source",) if kind == "encode" and cfg.x is None else ()):
+            if getattr(cfg, name) in (None, []):
+                raise ConfigError(f"{kind}: config field {name!r} is required")
+        if kind == "dprm-converge" and not cfg.n_list and cfg.n is None:
+            raise ConfigError("dprm-converge: need shape.n or shape.n_list")
+        # finite differences and the bracketing of beta_c both read the grid in order
+        if kind == "phase-scan" and len(cfg.betas) < 3:
+            raise ConfigError("phase-scan: beta grid too small")
+        if kind == "phase-scan" and any(a >= b for a, b in zip(cfg.betas, cfg.betas[1:])):
+            raise ConfigError("phase-scan: beta grid must be strictly increasing")
         return cfg
 
-    def require(self, *names):
-        for name in names:
-            if getattr(self, name) in (None, [],):
-                raise ConfigError(f"{self.kind}: config field {name!r} is required")
+
+@dataclass(frozen=True)
+class Outputs:
+    """What a run produced, for run_experiment to write: the summary payload,
+    CSV tables as {file name: (header, rows)}, encode's (path, code, stream)
+    and the exit code."""
+
+    summary: dict
+    tables: dict = field(default_factory=dict)
+    bitstream: tuple | None = None
+    exit_code: int = EXIT_OK
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+def _bitstream_path(cfg: ExperimentConfig, out: str) -> str:
+    """Where encode writes and decode reads; an absolute path is kept as is."""
+    return os.path.join(out, cfg.bitstream or "encoded.bin")
 
 
-def _write_summary(out_dir, cfg: ExperimentConfig, payload) -> None:
-    """Writes payload plus the run's kind to <kind>_summary.json."""
-    name = cfg.kind.replace("-", "_") + "_summary.json"
-    with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump({"kind": cfg.kind, **payload}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _ensure_out(out_dir: str | None) -> str:
-    out = out_dir or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def run_dprm_converge(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
+def run_dprm_converge(cfg: ExperimentConfig, out: str) -> Outputs:
     """Monte-Carlo free energy vs the closed-form limit, over an n sweep."""
-    cfg.require("energy", "d", "betas")
     ns = cfg.n_list or [cfg.n]
-    if not ns or ns[0] is None:
-        raise ConfigError("dprm-converge: need shape.n or shape.n_list")
-    out = _ensure_out(out_dir)
     limit = theory.FreeEnergyLimit.for_distribution(cfg.energy, cfg.d)
     stats = monte_carlo_free_energy(cfg.d, ns, cfg.energy, cfg.betas, cfg.trials, cfg.master_seed)
     rows = []
@@ -188,28 +192,19 @@ def run_dprm_converge(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
             cell = stats.cell(r, c)
             flim = limit.f(beta)
             rows.append((n, beta, cell.mean, cell.std, flim, cell.mean - flim))
-    _write_csv(os.path.join(out, "dprm_converge.csv"),
-               ["n", "beta", "mean_f_n", "std", "f_limit", "gap"], rows)
-    _write_summary(out, cfg, {
+    return Outputs({
         "master_seed": cfg.master_seed,
         "d": cfg.d,
         "n_list": ns,
         "betas": cfg.betas,
         "trials": cfg.trials,
-    })
-    return EXIT_OK
+    }, {"dprm_converge.csv": (["n", "beta", "mean_f_n", "std", "f_limit", "gap"], rows)})
 
 
-def run_phase_scan(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
+def run_phase_scan(cfg: ExperimentConfig, out: str) -> Outputs:
     """f(beta) on a grid with finite-difference derivatives; locates the
     second-derivative discontinuity when a frozen phase exists."""
-    cfg.require("energy", "d", "betas")
-    if len(cfg.betas) < 3:
-        raise ConfigError("phase-scan: beta grid too small")
     betas = np.asarray(cfg.betas)
-    # finite differences and the bracketing of beta_c both read the grid in order
-    if np.any(np.diff(betas) <= 0):
-        raise ConfigError("phase-scan: beta grid must be strictly increasing")
     limit = theory.FreeEnergyLimit.for_distribution(cfg.energy, cfg.d)
     transition = limit.frozen_phase_exists and betas[0] < limit.beta_c < betas[-1]
     if transition:
@@ -220,49 +215,35 @@ def run_phase_scan(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
                 f"phase-scan: need >= 5 grid points per side of beta_c={limit.beta_c:.6g}, "
                 f"got {n_lo} below and {n_hi} above"
             )
-    out = _ensure_out(out_dir)
     f = np.array([limit.f(b) for b in betas])
     d1 = np.gradient(f, betas)
     d2 = np.gradient(d1, betas)
     rows = [(float(b), float(fv), float(g1), float(g2)) for b, fv, g1, g2 in zip(betas, f, d1, d2)]
-    _write_csv(os.path.join(out, "phase_scan.csv"), ["beta", "f", "df", "d2f"], rows)
     kink = float(betas[int(np.argmax(np.abs(np.diff(d2))))]) if transition else None
-    _write_summary(out, cfg, {
+    return Outputs({
         "d": cfg.d,
         "beta_c": limit.beta_c if limit.frozen_phase_exists else "INFINITE",
         "phi_at_beta_c": limit.phi_at_beta_c,
         "transition": "DETECTED" if transition else "NO-TRANSITION",
         "kink_location": kink,
-    })
-    return EXIT_OK
+    }, {"phase_scan.csv": (["beta", "f", "df", "d2f"], rows)})
 
 
-def _source_tuple(cfg: ExperimentConfig, n: int) -> np.ndarray:
+def run_encode(cfg: ExperimentConfig, out: str) -> Outputs:
+    """Encode one source n-tuple into a packed bitstream."""
+    code = treecode.TreeCode(cfg.master_seed, cfg.coding, TreeShape(d=cfg.d, n=cfg.n))
     if cfg.x is not None:
         x = np.asarray(cfg.x, dtype=np.int64)
-        if x.size != n:
-            raise ConfigError(f"x has length {x.size}, shape says n={n}")
-        return x
-    cfg.require("source")
-    u = uniforms(cfg.master_seed, SOURCE_STREAM, 0, np.arange(n, dtype=np.uint64))
-    return cfg.source.sample(u)
-
-
-def run_encode(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
-    """Encode one source n-tuple and write the packed bitstream file."""
-    cfg.require("coding", "distortion", "d", "n")
-    out = _ensure_out(out_dir)
-    shape = TreeShape(d=cfg.d, n=cfg.n)
-    code = treecode.TreeCode(cfg.master_seed, cfg.coding, shape)
-    x = _source_tuple(cfg, cfg.n)
+    else:
+        x = cfg.source.sample(uniforms(cfg.master_seed, SOURCE_STREAM, 0,
+                                       np.arange(cfg.n, dtype=np.uint64)))
     if cfg.beam_width is not None:
         result = treecode.encode_beam(code, x, cfg.distortion, cfg.beam_width)
     else:
         result = treecode.encode_exact(code, x, cfg.distortion)
     stream = treecode.pack(result.walk, cfg.d)
-    stream_path = os.path.join(out, cfg.bitstream or "encoded.bin")
-    treecode.write_bitstream(stream_path, code, stream)
-    _write_summary(out, cfg, {
+    path = _bitstream_path(cfg, out)
+    return Outputs({
         "master_seed": cfg.master_seed,
         "d": cfg.d,
         "n": cfg.n,
@@ -273,56 +254,42 @@ def run_encode(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         "total_distortion": result.total_distortion,
         "per_symbol_mean": result.per_symbol_mean,
         "bits": stream.num_bits,
-        "bitstream": stream_path,
-    })
-    return EXIT_OK
+        "bitstream": path,
+    }, bitstream=(path, code, stream))
 
 
-def run_decode(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
+def run_decode(cfg: ExperimentConfig, out: str) -> Outputs:
     """Sequentially decode a bitstream file back into reproduction symbols."""
-    cfg.require("coding", "bitstream")
-    out = _ensure_out(out_dir)
-    d, n, seed, stream = treecode.read_bitstream(cfg.bitstream)
+    d, n, seed, stream = treecode.read_bitstream(_bitstream_path(cfg, out))
     code = treecode.TreeCode(seed, cfg.coding, TreeShape(d=d, n=n))
     symbols = treecode.decode_sequential(code, stream)
-    _write_csv(os.path.join(out, "decoded.csv"), ["t", "symbol"],
-               [(t + 1, int(s)) for t, s in enumerate(symbols)])
-    _write_summary(out, cfg, {
+    return Outputs({
         "d": d,
         "n": n,
         "code_seed": seed,
         "symbols": [int(s) for s in symbols],
-    })
-    return EXIT_OK
+    }, {"decoded.csv": (["t", "symbol"], [(t + 1, int(s)) for t, s in enumerate(symbols)])})
 
 
-def run_rd_curve(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
-    cfg.require("source", "distortion", "betas")
-    out = _ensure_out(out_dir)
+def run_rd_curve(cfg: ExperimentConfig, out: str) -> Outputs:
     points = [rd.blahut_arimoto(cfg.source, cfg.distortion, b) for b in cfg.betas]
-    _write_csv(os.path.join(out, "rd_curve.csv"), ["beta", "R_nats", "R_bits", "D", "converged"],
-               [(p.beta, p.R, p.R / math.log(2), p.D, int(p.converged)) for p in points])
-    _write_summary(out, cfg, {
+    return Outputs({
         "betas": cfg.betas,
         "points": len(points),
         "all_converged": all(p.converged for p in points),
-    })
-    return EXIT_OK
+    }, {"rd_curve.csv": (["beta", "R_nats", "R_bits", "D", "converged"],
+                         [(p.beta, p.R, p.R / math.log(2), p.D, int(p.converged)) for p in points])})
 
 
-def run_ensemble(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
-    cfg.require("source", "coding", "distortion", "d", "n")
+def run_ensemble(cfg: ExperimentConfig, out: str) -> Outputs:
     # the bound D0 exists only under the symmetry hypothesis; SymmetryError otherwise
     d0 = theory.d0_of_r(symmetric_energy_law(cfg.coding, cfg.distortion), math.log(cfg.d))
-    out = _ensure_out(out_dir)
     stats = treecode.simulate_ensemble(
         cfg.source, cfg.coding, cfg.distortion,
         cfg.d, cfg.n, cfg.trials, cfg.master_seed,
         fixed_sequence=cfg.fixed_sequence,
     )
-    _write_csv(os.path.join(out, "ensemble.csv"), ["trial", "mean_distortion"],
-               [(t, float(v)) for t, v in enumerate(stats.values)])
-    _write_summary(out, cfg, {
+    return Outputs({
         "master_seed": cfg.master_seed,
         "d": cfg.d,
         "n": cfg.n,
@@ -333,17 +300,14 @@ def run_ensemble(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         "d0": d0.value,
         "d0_degenerate": d0.degenerate,
         "gap": stats.mean - d0.value,
-    })
-    return EXIT_OK
+    }, {"ensemble.csv": (["trial", "mean_distortion"],
+                         [(t, float(v)) for t, v in enumerate(stats.values)])})
 
 
-def run_verify_theorem(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
+def run_verify_theorem(cfg: ExperimentConfig, out: str) -> Outputs:
     """Full pipeline: Q* via Blahut-Arimoto, symmetry gate, D0 vs D(R), and
     an ensemble gap trajectory over increasing n."""
-    cfg.require("source", "distortion", "d")
-    out = _ensure_out(out_dir)
     report = rd.verify_d0_equals_d(cfg.source, cfg.distortion, cfg.d)
-    verdict = "PASS" if report.passed else "FAIL"
     rows = []
     if report.applicable:
         for n in (cfg.n_list or ([cfg.n] if cfg.n else [])):
@@ -353,31 +317,26 @@ def run_verify_theorem(cfg: ExperimentConfig, out_dir: str | None = None) -> int
                 fixed_sequence=cfg.fixed_sequence,
             )
             rows.append((n, stats.mean, stats.std, report.d_of_r, stats.mean - report.d_of_r))
-    else:
-        verdict = "NOT-APPLICABLE"
-    if rows:
-        _write_csv(os.path.join(out, "verify_theorem.csv"),
-                   ["n", "mean_distortion", "std", "d_of_r", "gap"], rows)
-    _write_summary(out, cfg, {
+    header = ["n", "mean_distortion", "std", "d_of_r", "gap"]
+    return Outputs({
         "master_seed": cfg.master_seed,
         "d": cfg.d,
         "trials": cfg.trials,
         "fixed_sequence": cfg.fixed_sequence,
-        "verdict": verdict,
+        "verdict": ("PASS" if report.passed else "FAIL") if report.applicable else "NOT-APPLICABLE",
         "applicable": report.applicable,
         "degenerate": report.degenerate,
         "d0": None if math.isnan(report.d0) else report.d0,
         "d_of_r": report.d_of_r,
-        "gap": None if (isinstance(report.gap, float) and math.isnan(report.gap)) else report.gap,
+        "gap": None if math.isnan(report.gap) else report.gap,
         "beta_star": report.beta_star,
         "q_star": [float(v) for v in report.q_star.probs],
         "detail": report.detail,
-    })
-    if not report.applicable:
-        return EXIT_NOT_APPLICABLE
-    return EXIT_OK
+    }, {"verify_theorem.csv": (header, rows)} if rows else {},
+        exit_code=EXIT_OK if report.applicable else EXIT_NOT_APPLICABLE)
 
 
+# each runner(cfg, out) returns Outputs; it reads out only to resolve paths
 RUNNERS = {
     "dprm-converge": run_dprm_converge,
     "phase-scan": run_phase_scan,
@@ -392,5 +351,26 @@ RUNNERS = {
 EXPERIMENT_KINDS = tuple(RUNNERS)
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
-    return RUNNERS[cfg.kind](cfg, out_dir)
+    """Runs cfg, then writes its outputs under out_dir (default "."): the CSV
+    tables, encode's bitstream and <kind>_summary.json.  Only this function
+    writes, and only after the run returns, so a failed run writes nothing."""
+    out = out_dir or "."
+    outputs = RUNNERS[cfg.kind](cfg, out)
+    os.makedirs(out, exist_ok=True)
+    for name, (header, rows) in outputs.tables.items():
+        _write_csv(os.path.join(out, name), header, rows)
+    if outputs.bitstream is not None:
+        treecode.write_bitstream(*outputs.bitstream)
+    with open(os.path.join(out, cfg.kind.replace("-", "_") + "_summary.json"), "w") as fh:
+        json.dump({"kind": cfg.kind, **outputs.summary}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return outputs.exit_code

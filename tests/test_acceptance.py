@@ -42,7 +42,7 @@ from cayleycodec import (
     unpack,
     verify_d0_equals_d,
 )
-from cayleycodec.harness import EXIT_OK, ExperimentConfig, run_verify_theorem
+from cayleycodec.harness import EXIT_OK, ExperimentConfig, run_experiment
 from cayleycodec.theory import FreeEnergyLimit
 
 GAUSS = EnergyDistribution.gaussian(0.0, 1.0)
@@ -230,7 +230,7 @@ def test_criterion_7_degenerate_case(tmp_path):
         "shape": {"d": 2, "n_list": [6]},
         "trials": 3,
     })
-    exit_code = run_verify_theorem(cfg, str(tmp_path))
+    exit_code = run_experiment(cfg, str(tmp_path))
     import json
 
     summary = json.loads((tmp_path / "verify_theorem_summary.json").read_text())

@@ -18,10 +18,7 @@ from cayleycodec.harness import (
     MAX_GRID_POINTS,
     ConfigError,
     ExperimentConfig,
-    run_dprm_converge,
-    run_ensemble,
-    run_phase_scan,
-    run_verify_theorem,
+    run_experiment,
 )
 
 GAUSS_ENERGY = {"kind": "gaussian", "mean": 0.0, "std": 1.0}
@@ -31,6 +28,15 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+ENCODE_X = {
+    "kind": "encode",
+    "master_seed": 99,
+    "models": {"coding": {"probs": [0.25, 0.25, 0.25, 0.25]}, "distortion": {"hamming": 4}},
+    "shape": {"d": 2, "n": 8},
+    "x": [0, 1, 2, 3, 0, 1, 2, 3],
+}
 
 
 def converge_config(**overrides):
@@ -172,7 +178,7 @@ def test_beta_grid_expansion():
 
 def test_dprm_converge_outputs(tmp_path):
     cfg = ExperimentConfig.from_dict(converge_config())
-    assert run_dprm_converge(cfg, str(tmp_path)) == EXIT_OK
+    assert run_experiment(cfg, str(tmp_path)) == EXIT_OK
     rows = (tmp_path / "dprm_converge.csv").read_text().strip().splitlines()
     assert rows[0] == "n,beta,mean_f_n,std,f_limit,gap"
     assert len(rows) == 3
@@ -184,7 +190,7 @@ def test_dprm_converge_point_mass_zero_gap(tmp_path):
     cfg = ExperimentConfig.from_dict(converge_config(
         models={"energy": {"kind": "discrete", "values": [0.4], "probs": [1.0]}}
     ))
-    run_dprm_converge(cfg, str(tmp_path))
+    run_experiment(cfg, str(tmp_path))
     for line in (tmp_path / "dprm_converge.csv").read_text().strip().splitlines()[1:]:
         assert abs(float(line.split(",")[5])) < 1e-12
 
@@ -192,8 +198,8 @@ def test_dprm_converge_point_mass_zero_gap(tmp_path):
 def test_full_pipeline_determinism(tmp_path):
     cfg = ExperimentConfig.from_dict(converge_config())
     a, b = tmp_path / "a", tmp_path / "b"
-    run_dprm_converge(cfg, str(a))
-    run_dprm_converge(ExperimentConfig.from_dict(converge_config()), str(b))
+    run_experiment(cfg, str(a))
+    run_experiment(ExperimentConfig.from_dict(converge_config()), str(b))
     assert (a / "dprm_converge.csv").read_bytes() == (b / "dprm_converge.csv").read_bytes()
 
 
@@ -206,7 +212,7 @@ def test_phase_scan_detects_gaussian_kink(tmp_path):
         "shape": {"d": 2},
         "beta_grid": {"start": bc - 0.1, "stop": bc + 0.1, "step": 0.001},
     })
-    assert run_phase_scan(cfg, str(tmp_path)) == EXIT_OK
+    assert run_experiment(cfg, str(tmp_path)) == EXIT_OK
     summary = json.loads((tmp_path / "phase_scan_summary.json").read_text())
     assert summary["transition"] == "DETECTED"
     assert abs(summary["kink_location"] - bc) < 0.005
@@ -221,8 +227,10 @@ def test_phase_scan_refuses_coarse_grid(tmp_path):
         "shape": {"d": 2},
         "beta_grid": [1.0, 1.1, 1.2, 1.3],
     })
-    with pytest.raises(ConfigError):
-        run_phase_scan(cfg, str(tmp_path))
+    with pytest.raises(ConfigError, match="need >= 5 grid points per side"):
+        run_experiment(cfg, str(tmp_path))
+    with pytest.raises(ConfigError, match="phase-scan: beta grid too small"):
+        ExperimentConfig.from_dict(FULL_CONFIGS["phase-scan"] | {"beta_grid": [1.0, 1.1]})
 
 
 def test_phase_scan_no_transition(tmp_path):
@@ -233,7 +241,7 @@ def test_phase_scan_no_transition(tmp_path):
         "shape": {"d": 2},
         "beta_grid": {"start": 0.5, "stop": 3.0, "step": 0.1},
     })
-    run_phase_scan(cfg, str(tmp_path))
+    run_experiment(cfg, str(tmp_path))
     summary = json.loads((tmp_path / "phase_scan_summary.json").read_text())
     assert summary["transition"] == "NO-TRANSITION"
     assert summary["beta_c"] == "INFINITE"
@@ -268,6 +276,27 @@ def test_encode_decode_cli_round_trip(tmp_path):
     d, n, seed, stream = read_bitstream(os.path.join(out, "walk.bin"))
     code = TreeCode(seed, CodingDistribution([0.25] * 4), TreeShape(d=d, n=n))
     assert decoded["symbols"] == [int(s) for s in decode_sequential(code, stream)]
+
+
+def test_encode_decode_cli_relative_bitstream_under_out(tmp_path, monkeypatch):
+    # both kinds resolve a relative bitstream name under --out, not the cwd
+    monkeypatch.chdir(tmp_path)
+    encode_cfg = write_config(tmp_path, ENCODE_X | {"bitstream": "walk.bin"}, "encode.json")
+    decode_cfg = write_config(tmp_path, {
+        "kind": "decode",
+        "master_seed": 99,
+        "models": {"coding": {"probs": [0.25, 0.25, 0.25, 0.25]}},
+        "bitstream": "walk.bin",
+    }, "decode.json")
+    out = tmp_path / "out"
+    assert main(["encode", "--config", encode_cfg, "--out", str(out)]) == 0
+    assert main(["decode", "--config", decode_cfg, "--out", str(out)]) == 0
+    assert not (tmp_path / "walk.bin").exists()
+    enc = json.loads((out / "encode_summary.json").read_text())
+    dec = json.loads((out / "decode_summary.json").read_text())
+    assert enc["bitstream"] == str(out / "walk.bin")
+    # Hamming distortion of the decoded symbols is the encoder's own
+    assert sum(x != y for x, y in zip(enc["x"], dec["symbols"])) == enc["total_distortion"]
 
 
 def test_rd_curve_cli(tmp_path):
@@ -308,7 +337,7 @@ def test_verify_theorem_pass_and_exit_codes(tmp_path):
         "trials": 5,
         "fixed_sequence": True,
     })
-    assert run_verify_theorem(cfg, str(tmp_path)) == EXIT_OK
+    assert run_experiment(cfg, str(tmp_path)) == EXIT_OK
     summary = json.loads((tmp_path / "verify_theorem_summary.json").read_text())
     assert summary["verdict"] == "PASS"
     rows = (tmp_path / "verify_theorem.csv").read_text().strip().splitlines()
@@ -323,7 +352,7 @@ def test_verify_theorem_not_applicable(tmp_path):
         "shape": {"d": 2, "n_list": [4]},
         "trials": 2,
     })
-    assert run_verify_theorem(cfg, str(tmp_path)) == EXIT_NOT_APPLICABLE
+    assert run_experiment(cfg, str(tmp_path)) == EXIT_NOT_APPLICABLE
     summary = json.loads((tmp_path / "verify_theorem_summary.json").read_text())
     assert summary["verdict"] == "NOT-APPLICABLE"
 
@@ -364,7 +393,7 @@ def test_ensemble_runner(tmp_path):
         "shape": {"d": 2, "n": 8},
         "trials": 4,
     })
-    assert run_ensemble(cfg, str(tmp_path)) == EXIT_OK
+    assert run_experiment(cfg, str(tmp_path)) == EXIT_OK
     summary = json.loads((tmp_path / "ensemble_summary.json").read_text())
     assert summary["trials"] == 4
     assert summary["gap"] == pytest.approx(summary["mean"] - summary["d0"], abs=1e-12)
@@ -393,6 +422,7 @@ def test_cli_decode_rejects_huge_header_n_fast(tmp_path, d):
     start = time.perf_counter()
     assert main(["decode", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert time.perf_counter() - start < 5.0
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_override(tmp_path):
@@ -426,13 +456,112 @@ def test_cli_seed_override_is_validated(tmp_path, seed, code):
     [round(2.0 - 0.05 * k, 2) for k in range(31)],  # 2.0 down to 0.5, across beta_c
 ])
 def test_cli_phase_scan_rejects_unordered_grid(tmp_path, grid):
-    cfg = write_config(tmp_path, {
+    raw = {
         "kind": "phase-scan",
         "master_seed": 1,
         "models": {"energy": GAUSS_ENERGY},
         "shape": {"d": 2},
         "beta_grid": grid,
-    })
+    }
+    with pytest.raises(ConfigError, match="phase-scan: beta grid must be strictly increasing"):
+        ExperimentConfig.from_dict(raw)
+    cfg = write_config(tmp_path, raw)
     out = tmp_path / "out"
     assert main(["phase-scan", "--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()
+
+
+UNIFORM4 = {"probs": [0.25] * 4}
+# one valid config per kind, holding every field the kind requires
+FULL_CONFIGS = {
+    "dprm-converge": converge_config(),
+    "phase-scan": {"kind": "phase-scan", "master_seed": 1, "models": {"energy": GAUSS_ENERGY},
+                   "shape": {"d": 2}, "beta_grid": [0.5, 0.6, 0.7]},
+    "encode": ENCODE_X,
+    "decode": {"kind": "decode", "master_seed": 1, "models": {"coding": UNIFORM4},
+               "bitstream": "walk.bin"},
+    "rd-curve": {"kind": "rd-curve", "master_seed": 1,
+                 "models": {"source": UNIFORM4, "distortion": {"hamming": 4}},
+                 "beta_grid": [0.5, 1.0]},
+    "verify-theorem": {"kind": "verify-theorem", "master_seed": 1,
+                       "models": {"source": UNIFORM4, "distortion": {"hamming": 4}},
+                       "shape": {"d": 2}},
+    "ensemble": {"kind": "ensemble", "master_seed": 1,
+                 "models": {"source": UNIFORM4, "coding": UNIFORM4, "distortion": {"hamming": 4}},
+                 "shape": {"d": 2, "n": 4}},
+}
+REQUIRED_FIELDS = [
+    ("dprm-converge", "energy"), ("dprm-converge", "d"), ("dprm-converge", "betas"),
+    ("phase-scan", "energy"), ("phase-scan", "d"), ("phase-scan", "betas"),
+    ("encode", "coding"), ("encode", "distortion"), ("encode", "d"), ("encode", "n"),
+    ("decode", "coding"), ("decode", "bitstream"),
+    ("rd-curve", "source"), ("rd-curve", "distortion"), ("rd-curve", "betas"),
+    ("verify-theorem", "source"), ("verify-theorem", "distortion"), ("verify-theorem", "d"),
+    ("ensemble", "source"), ("ensemble", "coding"), ("ensemble", "distortion"),
+    ("ensemble", "d"), ("ensemble", "n"),
+]
+
+
+def _without(raw, name):
+    """raw with the config field `name` removed from wherever the JSON holds it."""
+    raw = json.loads(json.dumps(raw))
+    if name in ("energy", "source", "coding", "distortion"):
+        del raw["models"][name]
+    elif name in ("d", "n"):
+        del raw["shape"][name]
+    elif name == "betas":
+        raw.pop("beta", None)
+        raw.pop("beta_grid", None)
+    else:
+        del raw[name]
+    return raw
+
+
+def test_full_configs_parse():
+    assert set(FULL_CONFIGS) == set(EXPERIMENT_KINDS)
+    for raw in FULL_CONFIGS.values():
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("kind, name", REQUIRED_FIELDS + [("encode", "source")])
+def test_required_field_missing_fails_before_any_output(tmp_path, kind, name):
+    # encode's full config has x and no source; it needs a source only without x
+    raw = _without(FULL_CONFIGS[kind], "x" if (kind, name) == ("encode", "source") else name)
+    with pytest.raises(ConfigError, match=f"{kind}: config field '{name}' is required"):
+        ExperimentConfig.from_dict(raw)
+    out = tmp_path / "out"
+    assert main([kind, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_dprm_converge_needs_a_block_length(tmp_path):
+    raw = converge_config(shape={"d": 2})
+    with pytest.raises(ConfigError, match="need shape.n or shape.n_list"):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("kind, extra, files, code", [
+    ("dprm-converge", {}, {"dprm_converge.csv", "dprm_converge_summary.json"}, EXIT_OK),
+    ("phase-scan",
+     {"models": {"energy": {"kind": "discrete", "values": [0.0, 1.0], "probs": [0.5, 0.5]}}},
+     {"phase_scan.csv", "phase_scan_summary.json"}, EXIT_OK),
+    ("encode", {}, {"encoded.bin", "encode_summary.json"}, EXIT_OK),
+    ("encode", {"bitstream": "walk.bin"}, {"walk.bin", "encode_summary.json"}, EXIT_OK),
+    ("decode", {}, {"decoded.csv", "decode_summary.json"}, EXIT_OK),
+    ("rd-curve", {}, {"rd_curve.csv", "rd_curve_summary.json"}, EXIT_OK),
+    ("verify-theorem", {"shape": {"d": 2, "n_list": [4]}},
+     {"verify_theorem.csv", "verify_theorem_summary.json"}, EXIT_OK),
+    ("verify-theorem", {"models": {"source": {"probs": [0.85, 0.15]}, "distortion": {"hamming": 2}},
+                        "shape": {"d": 2, "n_list": [4]}},
+     {"verify_theorem_summary.json"}, EXIT_NOT_APPLICABLE),
+    ("ensemble", {}, {"ensemble.csv", "ensemble_summary.json"}, EXIT_OK),
+])
+def test_run_experiment_writes_exactly_its_files(tmp_path, kind, extra, files, code):
+    raw = FULL_CONFIGS[kind] | extra
+    if kind == "decode":
+        # the bitstream comes from an encode run into another directory
+        assert run_experiment(ExperimentConfig.from_dict(ENCODE_X), str(tmp_path / "enc")) == EXIT_OK
+        raw = raw | {"bitstream": str(tmp_path / "enc" / "encoded.bin")}
+    out = tmp_path / "out"
+    assert run_experiment(ExperimentConfig.from_dict(raw), str(out)) == code
+    assert {p.name for p in out.iterdir()} == files

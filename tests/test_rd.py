@@ -14,7 +14,7 @@ from cayleycodec import (
     verify_d0_equals_d,
 )
 from cayleycodec import rd
-from cayleycodec.harness import ExperimentConfig, run_rd_curve
+from cayleycodec.harness import ExperimentConfig, run_experiment
 
 
 def h_nats(p):
@@ -216,7 +216,7 @@ def test_export_curve_csv(tmp_path):
         "models": {"source": {"probs": [0.5, 0.5]}, "distortion": {"hamming": 2}},
         "beta_grid": [0.5, 1.0, 2.0],
     })
-    run_rd_curve(cfg, str(tmp_path))
+    run_experiment(cfg, str(tmp_path))
     lines = (tmp_path / "rd_curve.csv").read_text().strip().splitlines()
     assert lines[0] == "beta,R_nats,R_bits,D,converged"
     assert len(lines) == 4

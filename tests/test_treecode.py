@@ -32,7 +32,7 @@ from cayleycodec import (
 )
 from cayleycodec import treecode
 from cayleycodec.dprm import tree_sweep
-from cayleycodec.harness import ExperimentConfig, run_ensemble
+from cayleycodec.harness import ExperimentConfig, run_experiment
 
 Q4 = CodingDistribution([0.25] * 4)
 HAMMING4 = DistortionMatrix.hamming(4)
@@ -418,7 +418,7 @@ def ensemble_config(source, coding, distortion, d, n, trials, master_seed, fixed
 def test_simulate_ensemble_refuses_asymmetric(tmp_path):
     cfg = ensemble_config([0.5, 0.5], [0.9, 0.1], {"hamming": 2}, d=2, n=4, trials=1, master_seed=1)
     with pytest.raises(SymmetryError):
-        run_ensemble(cfg, str(tmp_path))
+        run_experiment(cfg, str(tmp_path))
 
 
 def test_simulate_ensemble_fixed_sequence_reuses_source(tmp_path):
@@ -426,7 +426,7 @@ def test_simulate_ensemble_fixed_sequence_reuses_source(tmp_path):
     a = simulate_ensemble(SourceModel([0.25] * 4), Q4, HAMMING4, **kw)
     b = simulate_ensemble(SourceModel([0.25] * 4), Q4, HAMMING4, **kw)
     assert np.array_equal(a.values, b.values)
-    run_ensemble(ensemble_config([0.25] * 4, [0.25] * 4, {"hamming": 4}, **kw), str(tmp_path))
+    run_experiment(ensemble_config([0.25] * 4, [0.25] * 4, {"hamming": 4}, **kw), str(tmp_path))
     summary = json.loads((tmp_path / "ensemble_summary.json").read_text())
     assert summary["mean"] == a.mean
     assert summary["gap"] == summary["mean"] - summary["d0"]
