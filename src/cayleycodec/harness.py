@@ -119,6 +119,8 @@ class ExperimentConfig:
         if "n_list" in shape:
             cfg.n_list = [int(v) for v in shape["n_list"]]
 
+        if "beta" in raw and "beta_grid" in raw:
+            raise ConfigError("give beta or beta_grid, not both")
         if "beta" in raw:
             cfg.betas = [float(raw["beta"])]
         elif "beta_grid" in raw:
@@ -283,7 +285,7 @@ def run_rd_curve(cfg: ExperimentConfig, out: str) -> Outputs:
 
 def run_ensemble(cfg: ExperimentConfig, out: str) -> Outputs:
     # the bound D0 exists only under the symmetry hypothesis; SymmetryError otherwise
-    d0 = theory.d0_of_r(symmetric_energy_law(cfg.coding, cfg.distortion), math.log(cfg.d))
+    limit = theory.FreeEnergyLimit.for_distribution(symmetric_energy_law(cfg.coding, cfg.distortion), cfg.d)
     stats = treecode.simulate_ensemble(
         cfg.source, cfg.coding, cfg.distortion,
         cfg.d, cfg.n, cfg.trials, cfg.master_seed,
@@ -297,9 +299,9 @@ def run_ensemble(cfg: ExperimentConfig, out: str) -> Outputs:
         "fixed_sequence": cfg.fixed_sequence,
         "mean": stats.mean,
         "std": stats.std,
-        "d0": d0.value,
-        "d0_degenerate": d0.degenerate,
-        "gap": stats.mean - d0.value,
+        "d0": limit.d0,
+        "d0_degenerate": not limit.frozen_phase_exists,
+        "gap": stats.mean - limit.d0,
     }, {"ensemble.csv": (["trial", "mean_distortion"],
                          [(t, float(v)) for t, v in enumerate(stats.values)])})
 
@@ -312,7 +314,7 @@ def run_verify_theorem(cfg: ExperimentConfig, out: str) -> Outputs:
     if report.applicable:
         for n in (cfg.n_list or ([cfg.n] if cfg.n else [])):
             stats = treecode.simulate_ensemble(
-                cfg.source, report.q_star, cfg.distortion,
+                cfg.source, report.point.Q_star, cfg.distortion,
                 cfg.d, n, cfg.trials, cfg.master_seed,
                 fixed_sequence=cfg.fixed_sequence,
             )
@@ -326,11 +328,11 @@ def run_verify_theorem(cfg: ExperimentConfig, out: str) -> Outputs:
         "verdict": ("PASS" if report.passed else "FAIL") if report.applicable else "NOT-APPLICABLE",
         "applicable": report.applicable,
         "degenerate": report.degenerate,
-        "d0": None if math.isnan(report.d0) else report.d0,
+        "d0": report.d0,
         "d_of_r": report.d_of_r,
-        "gap": None if math.isnan(report.gap) else report.gap,
-        "beta_star": report.beta_star,
-        "q_star": [float(v) for v in report.q_star.probs],
+        "gap": report.gap,
+        "beta_star": report.point.beta,
+        "q_star": [float(v) for v in report.point.Q_star.probs],
         "detail": report.detail,
     }, {"verify_theorem.csv": (header, rows)} if rows else {},
         exit_code=EXIT_OK if report.applicable else EXIT_NOT_APPLICABLE)

@@ -15,7 +15,7 @@ import numpy as np
 from .model import (
     CodingDistribution, DistortionMatrix, SourceModel, SymmetryError, symmetric_energy_law
 )
-from .theory import BETA_MAX, d0_of_r
+from .theory import BETA_MAX, FreeEnergyLimit
 
 # rate accuracy (nats) of the slope bisection in verify_d0_equals_d
 R_TOL = 1e-8
@@ -110,20 +110,20 @@ def rd_point_parametric(
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Outcome of checking D0(R) against the distortion-rate function."""
+    """Outcome of checking D0(R) against the distortion-rate function; d0
+    and gap are None when Q* fails the symmetry hypothesis."""
 
-    d0: float
+    d0: float | None
     d_of_r: float
-    gap: float
+    gap: float | None
     passed: bool
     applicable: bool  # False when Q* fails the symmetry hypothesis
     degenerate: bool  # rate hit the endpoint R -> ln|Y| (D -> 0)
-    beta_star: float
-    q_star: CodingDistribution
+    point: RDPoint  # the curve point at rate ln d: slope beta and Q*
     detail: str = ""
 
 
-def _solve_beta_for_rate(P: SourceModel, rho: DistortionMatrix, r_target: float) -> tuple[float, RDPoint, bool]:
+def _solve_beta_for_rate(P: SourceModel, rho: DistortionMatrix, r_target: float) -> tuple[RDPoint, bool]:
     """Bisect the slope so the Blahut-Arimoto rate hits r_target within R_TOL.
 
     R(beta) is nondecreasing, so plain bisection on an expandable bracket is
@@ -136,19 +136,18 @@ def _solve_beta_for_rate(P: SourceModel, rho: DistortionMatrix, r_target: float)
     while point_hi.R < r_target - R_TOL:
         hi *= 4.0
         if hi > BETA_MAX:
-            return BETA_MAX, blahut_arimoto(P, rho, BETA_MAX), True
+            return blahut_arimoto(P, rho, BETA_MAX), True
         point_hi = blahut_arimoto(P, rho, hi)
-    point = point_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         point = blahut_arimoto(P, rho, mid)
         if abs(point.R - r_target) <= R_TOL:
-            return mid, point, False
+            return point, False
         if point.R < r_target:
             lo = mid
         else:
             hi = mid
-    return point.beta, point, False
+    return point, False
 
 
 def verify_d0_equals_d(P: SourceModel, rho: DistortionMatrix, d: int) -> TheoremReport:
@@ -159,35 +158,31 @@ def verify_d0_equals_d(P: SourceModel, rho: DistortionMatrix, d: int) -> Theorem
     compares the ensemble bound D0(ln d) of its branch-energy law against D(R).
     """
     if d < 2:
-        raise ValueError("need d >= 2")
-    r_target = math.log(d)
-    beta_star, point, degenerate = _solve_beta_for_rate(P, rho, r_target)
-    q_star = point.Q_star
+        raise ValueError(f"d={d}: a tree code needs d >= 2")
+    point, degenerate = _solve_beta_for_rate(P, rho, math.log(d))
     try:
-        law = symmetric_energy_law(q_star, rho)
+        law = symmetric_energy_law(point.Q_star, rho)
     except SymmetryError as exc:
         return TheoremReport(
-            d0=math.nan,
+            d0=None,
             d_of_r=point.D,
-            gap=math.nan,
+            gap=None,
             passed=False,
             applicable=False,
             degenerate=degenerate,
-            beta_star=beta_star,
-            q_star=q_star,
+            point=point,
             detail=f"theorem hypothesis fails: {exc}",
         )
-    d0 = d0_of_r(law, r_target)
-    gap = abs(d0.value - point.D)
+    limit = FreeEnergyLimit.for_distribution(law, d)
+    degenerate = degenerate or not limit.frozen_phase_exists
+    gap = abs(limit.d0 - point.D)
     return TheoremReport(
-        d0=d0.value,
+        d0=limit.d0,
         d_of_r=point.D,
         gap=gap,
         passed=gap <= D0_TOL,
         applicable=True,
-        degenerate=degenerate or d0.degenerate,
-        beta_star=beta_star,
-        q_star=q_star,
-        detail="degenerate zero-distortion endpoint" if (degenerate or d0.degenerate) else "",
+        degenerate=degenerate,
+        point=point,
+        detail="degenerate zero-distortion endpoint" if degenerate else "",
     )
-

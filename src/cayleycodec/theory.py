@@ -4,8 +4,8 @@ phi(beta) = (ln d + ln E{exp(-beta eps)}) / beta is the annealed curve;
 its minimizer beta_c marks a second-order transition, and the limiting
 per-step free energy is phi(beta) in the high-temperature phase and the
 constant phi(beta_c) in the frozen phase.  The frozen value also gives the
-distortion bound for the random tree-code ensemble: D0(R) = -phi(beta_c)
-with d = e^R and branch energies rho(x, Y), Y ~ Q.
+distortion bound for the random tree-code ensemble at rate R = ln d:
+D0 = -phi(beta_c) with branch energies rho(x, Y), Y ~ Q.
 """
 
 from __future__ import annotations
@@ -37,13 +37,11 @@ def beta_c(energy_dist: EnergyDistribution, d: int) -> float:
     """Minimizer of phi, i.e. the root of phi'(beta) = 0.
 
     Returns math.inf when phi is strictly decreasing on (0, BETA_MAX]: the
-    frozen phase is never entered.  For d = 1 the curve has no ln d term and
-    no interior minimum, so the answer is inf as well.
+    frozen phase is never entered.  d = 1 is refused: a chain's limit is
+    -E{eps} at every beta, which phi does not describe.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if d == 1:
-        return math.inf
+    if d < 2:
+        raise ValueError(f"d={d}: the Cayley-tree limit needs d >= 2")
     # numerator of phi'(beta); its sign change from - to + locates the minimizer
     g = lambda b: b * energy_dist.log_mgf_prime(b) - math.log(d) - energy_dist.log_mgf(b)
     lo = 1e-8
@@ -74,6 +72,13 @@ class FreeEnergyLimit:
     def frozen_phase_exists(self) -> bool:
         return math.isfinite(self.beta_c)
 
+    @property
+    def d0(self) -> float:
+        """Ensemble distortion bound -phi(beta_c) when energy_dist comes from
+        model.symmetric_energy_law; taken at BETA_MAX (degenerate) when
+        frozen_phase_exists is False."""
+        return -self.phi_at_beta_c + 0.0  # normalize -0.0
+
     def f(self, beta: float) -> float:
         if beta <= 0:
             raise ValueError("beta must be > 0")
@@ -85,26 +90,3 @@ class FreeEnergyLimit:
 def f_limit(energy_dist: EnergyDistribution, d: int, beta: float) -> float:
     """Limiting per-step free energy: phi(beta) up to beta_c, then flat."""
     return FreeEnergyLimit.for_distribution(energy_dist, d).f(beta)
-
-
-@dataclass(frozen=True)
-class D0Result:
-    value: float
-    degenerate: bool  # True when the maximizing beta runs off to infinity
-
-
-def d0_of_r(law: EnergyDistribution, R: float) -> D0Result:
-    """Almost-sure per-letter distortion of the random tree-code ensemble,
-    max over beta > 0 of -(log-MGF of law + R) / beta = -phi(beta_c).
-
-    law comes from model.symmetric_energy_law; R = ln d for an integer d >= 2.
-    When phi has no interior minimum the supremum is a beta -> inf limit;
-    we evaluate at BETA_MAX and flag the result DEGENERATE.
-    """
-    d_real = math.exp(R)
-    d = round(d_real)
-    if d < 2 or abs(d_real - d) > 1e-9 * max(1.0, d):
-        raise ValueError(f"R={R!r} is not ln(d) for an integer d >= 2")
-    limit = FreeEnergyLimit.for_distribution(law, d)
-    value = -limit.phi_at_beta_c + 0.0  # normalize -0.0
-    return D0Result(value=value, degenerate=not limit.frozen_phase_exists)

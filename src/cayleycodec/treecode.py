@@ -150,6 +150,10 @@ class Bitstream:
     n: int
     d: int
 
+    def __post_init__(self):
+        if self.d < 2:
+            raise ValueError(f"bitstream has d={self.d}; a tree code needs d >= 2")
+
     @property
     def num_bits(self) -> int:
         # the shape check rejects a huge n in O(1) before d**n is computed
@@ -216,8 +220,6 @@ def read_bitstream(path) -> tuple[int, int, int, Bitstream]:
         magic, d, n, seed = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError("not a tree-code bitstream file")
-        if d < 2:
-            raise ValueError(f"bitstream header has d={d}; a tree code needs d >= 2")
         nbytes = (Bitstream(data=b"", n=n, d=d).num_bits + 7) // 8
         return d, n, seed, Bitstream(data=fh.read(nbytes + 1), n=n, d=d)
 

@@ -27,7 +27,6 @@ from cayleycodec import (
     TreeCode,
     TreeShape,
     beta_c,
-    d0_of_r,
     decode_sequential,
     encode_exact,
     free_energy_per_step,
@@ -222,7 +221,7 @@ def test_criterion_6_phase_transition_shape():
 def test_criterion_7_degenerate_case(tmp_path):
     bc = beta_c(EnergyDistribution.discrete([0.0, 1.0], [0.5, 0.5]), 2)
     law = symmetric_energy_law(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2))
-    res = d0_of_r(law, math.log(2))
+    res = FreeEnergyLimit.for_distribution(law, 2)
     cfg = ExperimentConfig.from_dict({
         "kind": "verify-theorem",
         "master_seed": 17,
@@ -236,14 +235,14 @@ def test_criterion_7_degenerate_case(tmp_path):
     summary = json.loads((tmp_path / "verify_theorem_summary.json").read_text())
     ok = (
         bc == math.inf
-        and res.degenerate
-        and abs(res.value) <= 1e-9
+        and not res.frozen_phase_exists
+        and abs(res.d0) <= 1e-9
         and exit_code == EXIT_OK
         and summary["verdict"] == "PASS"
         and summary["degenerate"]
     )
     report(7, "degenerate case", ok,
-           f"beta_c={bc} d0={res.value} verdict={summary['verdict']}")
+           f"beta_c={bc} d0={res.d0} verdict={summary['verdict']}")
 
 
 def test_criterion_8_codec_round_trip():

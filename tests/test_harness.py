@@ -72,6 +72,7 @@ def test_config_requires_seed_and_kind():
     {"trials": None},
     {"models": {"energy": {"kind": "gaussian", "mean": 0}}},
     {"models": {"energy": [1]}},
+    {"beta": 0.5, "beta_grid": [1.0, 2.0, 3.0]},  # two beta sources, neither wins
 ])
 def test_config_rejects_malformed_sections(overrides):
     with pytest.raises(ConfigError):
@@ -529,6 +530,16 @@ def test_required_field_missing_fails_before_any_output(tmp_path, kind, name):
     raw = _without(FULL_CONFIGS[kind], "x" if (kind, name) == ("encode", "source") else name)
     with pytest.raises(ConfigError, match=f"{kind}: config field '{name}' is required"):
         ExperimentConfig.from_dict(raw)
+    out = tmp_path / "out"
+    assert main([kind, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["dprm-converge", "phase-scan", "encode", "verify-theorem", "ensemble"])
+def test_cli_rejects_d1_before_any_output(tmp_path, kind):
+    # a d = 1 chain is no tree code and has no frozen-phase limit
+    raw = json.loads(json.dumps(FULL_CONFIGS[kind]))
+    raw["shape"]["d"] = 1
     out = tmp_path / "out"
     assert main([kind, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
     assert not out.exists()

@@ -10,7 +10,6 @@ from cayleycodec import (
     FreeEnergyLimit,
     SymmetryError,
     beta_c,
-    d0_of_r,
     f_limit,
     phi,
     symmetric_energy_law,
@@ -85,10 +84,13 @@ def test_beta_c_discrete_with_rare_minimum():
         assert phi(dist, 2, b) >= val - 1e-12
 
 
-def test_beta_c_d1_infinite():
-    assert beta_c(GAUSS, 1) == math.inf
+@pytest.mark.parametrize("d", [0, 1])
+def test_beta_c_rejects_d_below_2(d):
+    # a d = 1 chain has limit -E{eps}, not phi; the tree limit refuses it
     with pytest.raises(ValueError):
-        beta_c(GAUSS, 0)
+        beta_c(GAUSS, d)
+    with pytest.raises(ValueError):
+        FreeEnergyLimit.for_distribution(GAUSS, d)
 
 
 def test_f_limit_high_temperature():
@@ -136,16 +138,16 @@ def test_phi_bounded_below_by_minus_max_atom():
 
 def test_d0_binary_uniform_hamming_degenerate():
     law = symmetric_energy_law(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2))
-    res = d0_of_r(law, math.log(2))
-    assert res.degenerate
-    assert res.value == pytest.approx(0.0, abs=1e-8)
+    res = FreeEnergyLimit.for_distribution(law, 2)
+    assert not res.frozen_phase_exists
+    assert res.d0 == pytest.approx(0.0, abs=1e-8)
 
 
 def test_d0_quaternary_uniform_hamming():
     law = symmetric_energy_law(CodingDistribution([0.25] * 4), DistortionMatrix.hamming(4))
-    res = d0_of_r(law, math.log(2))
-    assert not res.degenerate
-    assert res.value == pytest.approx(0.1893, abs=5e-5)
+    res = FreeEnergyLimit.for_distribution(law, 2)
+    assert res.frozen_phase_exists
+    assert res.d0 == pytest.approx(0.1893, abs=5e-5)
     # ternary-search oracle on -(ln M + R)/beta agrees
     def objective(b):
         return -(math.log((1 + 3 * math.exp(-b)) / 4) + math.log(2)) / b
@@ -158,24 +160,21 @@ def test_d0_quaternary_uniform_hamming():
             lo = m1
         else:
             hi = m2
-    assert res.value == pytest.approx(objective(0.5 * (lo + hi)), abs=1e-9)
+    assert res.d0 == pytest.approx(objective(0.5 * (lo + hi)), abs=1e-9)
 
 
 def test_d0_constant_distortion():
     c = 0.8
     rho = DistortionMatrix(np.full((2, 3), c))
-    res = d0_of_r(symmetric_energy_law(CodingDistribution([0.2, 0.3, 0.5]), rho), math.log(2))
-    assert res.degenerate
-    assert res.value == pytest.approx(c, abs=1e-3)
+    res = FreeEnergyLimit.for_distribution(symmetric_energy_law(CodingDistribution([0.2, 0.3, 0.5]), rho), 2)
+    assert not res.frozen_phase_exists
+    assert res.d0 == pytest.approx(c, abs=1e-3)
 
 
 def test_d0_rejects_bad_rate_and_asymmetry():
-    Q = CodingDistribution([0.5, 0.5])
     rho = DistortionMatrix.hamming(2)
-    with pytest.raises(ValueError):
-        d0_of_r(symmetric_energy_law(Q, rho), 0.9)  # not ln(integer)
     with pytest.raises(SymmetryError):
-        d0_of_r(symmetric_energy_law(CodingDistribution([0.9, 0.1]), rho), math.log(2))
+        FreeEnergyLimit.for_distribution(symmetric_energy_law(CodingDistribution([0.9, 0.1]), rho), 2)
 
 
 def test_d0_consistent_with_induced_pipeline():
@@ -183,14 +182,13 @@ def test_d0_consistent_with_induced_pipeline():
     Q = CodingDistribution([0.25] * 4)
     rho = DistortionMatrix.hamming(4)
     dist = symmetric_energy_law(Q, rho)
-    res = d0_of_r(dist, math.log(2))
     limit = FreeEnergyLimit.for_distribution(dist, 2)
-    assert res.value == -limit.phi_at_beta_c
-    assert not res.degenerate
+    assert limit.d0 == -limit.phi_at_beta_c
+    assert limit.frozen_phase_exists
 
 
 def test_degenerate_d0_evaluated_at_beta_cap():
     law = symmetric_energy_law(CodingDistribution([0.5, 0.5]), DistortionMatrix.hamming(2))
-    res = d0_of_r(law, math.log(2))
-    assert res.degenerate
-    assert res.value == -phi(law, 2, BETA_MAX)
+    res = FreeEnergyLimit.for_distribution(law, 2)
+    assert not res.frozen_phase_exists
+    assert res.d0 == -phi(law, 2, BETA_MAX)

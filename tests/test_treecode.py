@@ -12,12 +12,12 @@ from bruteforce import beam_pass, code_energies, enumerate_ground_state
 from cayleycodec import (
     Bitstream,
     CodingDistribution,
+    FreeEnergyLimit,
     DistortionMatrix,
     SourceModel,
     SymmetryError,
     TreeCode,
     TreeShape,
-    d0_of_r,
     decode_sequential,
     encode_beam,
     encode_exact,
@@ -401,7 +401,7 @@ def test_simulate_ensemble_constant_distortion():
     stats = simulate_ensemble(SourceModel([0.5, 0.5]), Q, rho, d=2, n=5, trials=4, master_seed=7)
     assert np.all(stats.values == c)
     assert stats.std == 0.0
-    assert d0_of_r(symmetric_energy_law(Q, rho), math.log(2)).value == pytest.approx(c, abs=1e-3)
+    assert FreeEnergyLimit.for_distribution(symmetric_energy_law(Q, rho), 2).d0 == pytest.approx(c, abs=1e-3)
 
 
 def ensemble_config(source, coding, distortion, d, n, trials, master_seed, fixed_sequence=False):
