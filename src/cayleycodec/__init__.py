@@ -5,7 +5,6 @@ from .dprm import (
     BranchEnergyOracle,
     MonteCarloStats,
     TreeShape,
-    free_energy_per_step,
     ground_state,
     internal_energy,
     log_partition_function,
@@ -23,7 +22,7 @@ from .model import (
     SymmetryError,
     symmetric_energy_law,
 )
-from .rd import RDPoint, TheoremReport, blahut_arimoto, rd_point_parametric, verify_d0_equals_d
+from .rd import RDPoint, TheoremReport, blahut_arimoto, verify_d0_equals_d
 from .theory import FreeEnergyLimit, beta_c, f_limit, phi
 from .treecode import (
     Bitstream,

@@ -69,29 +69,18 @@ def walk_from_leaf(leaf: int, shape: TreeShape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BranchEnergyOracle:
-    """Deterministic lazy branch energies: energy(i, j) is a pure function of
-    (master_seed, i, j); distinct branches get independent draws from
-    energy_dist via inverse-transform sampling of a hashed uniform."""
+    """Deterministic lazy branch energies: the energy of branch (i, j) is a
+    pure function of (master_seed, i, j); distinct branches get independent
+    draws from energy_dist via inverse-transform sampling of a hashed uniform."""
 
     master_seed: int
     energy_dist: EnergyDistribution
     shape: TreeShape
 
-    def _check(self, i: int, j) -> None:
-        if not (1 <= i <= self.shape.n):
-            raise ValueError(f"generation {i} out of range 1..{self.shape.n}")
-        j = np.asarray(j)
-        if np.any(j < 0) or np.any(j >= self.shape.d**i):
-            raise ValueError(f"branch index out of range for generation {i}")
-
-    def energy(self, i: int, j: int) -> float:
-        self._check(i, j)
-        u = uniforms(self.master_seed, ENERGY_STREAM, i, j)
-        return float(self.energy_dist.sample(u))
-
     def generation_energies(self, i: int) -> np.ndarray:
         """All d^i branch energies of generation i, vectorized."""
-        self._check(i, 0)
+        if not (1 <= i <= self.shape.n):
+            raise ValueError(f"generation {i} out of range 1..{self.shape.n}")
         j = np.arange(self.shape.d**i, dtype=np.uint64)
         return self.energy_dist.sample(uniforms(self.master_seed, ENERGY_STREAM, i, j))
 
@@ -153,12 +142,6 @@ def tree_sweep(energy_fn: Callable[[int], np.ndarray], shape: TreeShape, betas=(
 
 def log_partition_function(oracle: BranchEnergyOracle, beta: float) -> float:
     return float(tree_sweep(oracle.generation_energies, oracle.shape, [beta]).log_z[0, 0])
-
-
-def free_energy_per_step(oracle: BranchEnergyOracle, beta: float) -> float:
-    """f_n(beta) = ln Z_n(beta) / (n beta); sign convention without the
-    leading minus, so larger is `better' (lower distortion is -f)."""
-    return log_partition_function(oracle, beta) / (oracle.shape.n * beta)
 
 
 def internal_energy(oracle: BranchEnergyOracle, beta: float) -> float:

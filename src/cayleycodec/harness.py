@@ -1,10 +1,10 @@
 """Experiment orchestration in three steps: parse, run, write.
 
 `ExperimentConfig.from_dict` validates a config, including the fields its
-kind requires; each `run_<kind>` computes and returns its `Outputs` without
-touching the file system; `run_experiment` alone writes them, so a failed
-run writes nothing.  All randomness flows from the master seed through named
-substreams, so identical config + seed reproduces byte-identical outputs.
+kind requires; each `run_<kind>(cfg)` computes and returns its `Outputs`
+without touching the file system; `run_experiment` alone writes them, so a
+failed run writes nothing.  All randomness flows from the master seed through
+named substreams, so identical config + seed reproduces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,6 +60,13 @@ def _energy_dist_from(spec: dict) -> EnergyDistribution:
     raise ConfigError(f"energy distribution kind must be gaussian|discrete, got {kind!r}")
 
 
+def _int(value, what: str, lo: int = 0) -> int:
+    """value as an int in [lo, 2^64); bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= int(value) < 1 << 64:
+        raise ConfigError(f"{what} must be an integer in [{lo}, 2^64), got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Fully validated experiment description; see README for the JSON schema."""
@@ -94,9 +101,7 @@ class ExperimentConfig:
 
     @classmethod
     def _parse(cls, kind: str, raw: dict) -> "ExperimentConfig":
-        seed = int(raw["master_seed"])
-        if not (0 <= seed < 1 << 64):
-            raise ConfigError("master_seed must be an unsigned 64-bit integer")
+        seed = _int(raw["master_seed"], "master_seed")
 
         models = raw.get("models", {})
         cfg = cls(kind=kind, master_seed=seed)
@@ -106,18 +111,18 @@ class ExperimentConfig:
             cfg.coding = CodingDistribution(np.asarray(models["coding"]["probs"], dtype=np.float64))
         if "distortion" in models:
             spec = models["distortion"]
-            cfg.distortion = (DistortionMatrix.hamming(int(spec["hamming"])) if "hamming" in spec
+            cfg.distortion = (DistortionMatrix.hamming(_int(spec["hamming"], "hamming")) if "hamming" in spec
                               else DistortionMatrix(np.asarray(spec["rows"], dtype=np.float64)))
         if "energy" in models:
             cfg.energy = _energy_dist_from(models["energy"])
 
         shape = raw.get("shape", {})
         if "d" in shape:
-            cfg.d = int(shape["d"])
+            cfg.d = _int(shape["d"], "shape.d")
         if "n" in shape:
-            cfg.n = int(shape["n"])
+            cfg.n = _int(shape["n"], "shape.n", 1)
         if "n_list" in shape:
-            cfg.n_list = [int(v) for v in shape["n_list"]]
+            cfg.n_list = [_int(v, "shape.n_list", 1) for v in shape["n_list"]]
 
         if "beta" in raw and "beta_grid" in raw:
             raise ConfigError("give beta or beta_grid, not both")
@@ -140,16 +145,14 @@ class ExperimentConfig:
         if any(b <= 0 for b in cfg.betas) and kind != "rd-curve":
             raise ConfigError("beta values must be > 0")
 
-        cfg.trials = int(raw.get("trials", 1))
-        if cfg.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        cfg.trials = _int(raw.get("trials", 1), "trials", 1)
         if "beam_width" in raw:
-            cfg.beam_width = int(raw["beam_width"])
-            if cfg.beam_width < 1:
-                raise ConfigError("beam_width must be >= 1")
-        cfg.fixed_sequence = bool(raw.get("fixed_sequence", False))
+            cfg.beam_width = _int(raw["beam_width"], "beam_width", 1)
+        cfg.fixed_sequence = raw.get("fixed_sequence", False)
+        if not isinstance(cfg.fixed_sequence, bool):
+            raise ConfigError(f"fixed_sequence must be true or false, got {cfg.fixed_sequence!r}")
         if "x" in raw:
-            cfg.x = [int(v) for v in raw["x"]]
+            cfg.x = [_int(v, "x") for v in raw["x"]]
         if "bitstream" in raw:
             cfg.bitstream = str(raw["bitstream"])
 
@@ -178,12 +181,7 @@ class Outputs:
     exit_code: int = EXIT_OK
 
 
-def _bitstream_path(cfg: ExperimentConfig, out: str) -> str:
-    """Where encode writes and decode reads; an absolute path is kept as is."""
-    return os.path.join(out, cfg.bitstream or "encoded.bin")
-
-
-def run_dprm_converge(cfg: ExperimentConfig, out: str) -> Outputs:
+def run_dprm_converge(cfg: ExperimentConfig) -> Outputs:
     """Monte-Carlo free energy vs the closed-form limit, over an n sweep."""
     ns = cfg.n_list or [cfg.n]
     limit = theory.FreeEnergyLimit.for_distribution(cfg.energy, cfg.d)
@@ -203,7 +201,7 @@ def run_dprm_converge(cfg: ExperimentConfig, out: str) -> Outputs:
     }, {"dprm_converge.csv": (["n", "beta", "mean_f_n", "std", "f_limit", "gap"], rows)})
 
 
-def run_phase_scan(cfg: ExperimentConfig, out: str) -> Outputs:
+def run_phase_scan(cfg: ExperimentConfig) -> Outputs:
     """f(beta) on a grid with finite-difference derivatives; locates the
     second-derivative discontinuity when a frozen phase exists."""
     betas = np.asarray(cfg.betas)
@@ -231,7 +229,7 @@ def run_phase_scan(cfg: ExperimentConfig, out: str) -> Outputs:
     }, {"phase_scan.csv": (["beta", "f", "df", "d2f"], rows)})
 
 
-def run_encode(cfg: ExperimentConfig, out: str) -> Outputs:
+def run_encode(cfg: ExperimentConfig) -> Outputs:
     """Encode one source n-tuple into a packed bitstream."""
     code = treecode.TreeCode(cfg.master_seed, cfg.coding, TreeShape(d=cfg.d, n=cfg.n))
     if cfg.x is not None:
@@ -244,7 +242,6 @@ def run_encode(cfg: ExperimentConfig, out: str) -> Outputs:
     else:
         result = treecode.encode_exact(code, x, cfg.distortion)
     stream = treecode.pack(result.walk, cfg.d)
-    path = _bitstream_path(cfg, out)
     return Outputs({
         "master_seed": cfg.master_seed,
         "d": cfg.d,
@@ -256,13 +253,13 @@ def run_encode(cfg: ExperimentConfig, out: str) -> Outputs:
         "total_distortion": result.total_distortion,
         "per_symbol_mean": result.per_symbol_mean,
         "bits": stream.num_bits,
-        "bitstream": path,
-    }, bitstream=(path, code, stream))
+        "bitstream": cfg.bitstream,
+    }, bitstream=(cfg.bitstream, code, stream))
 
 
-def run_decode(cfg: ExperimentConfig, out: str) -> Outputs:
+def run_decode(cfg: ExperimentConfig) -> Outputs:
     """Sequentially decode a bitstream file back into reproduction symbols."""
-    d, n, seed, stream = treecode.read_bitstream(_bitstream_path(cfg, out))
+    d, n, seed, stream = treecode.read_bitstream(cfg.bitstream)
     code = treecode.TreeCode(seed, cfg.coding, TreeShape(d=d, n=n))
     symbols = treecode.decode_sequential(code, stream)
     return Outputs({
@@ -273,7 +270,7 @@ def run_decode(cfg: ExperimentConfig, out: str) -> Outputs:
     }, {"decoded.csv": (["t", "symbol"], [(t + 1, int(s)) for t, s in enumerate(symbols)])})
 
 
-def run_rd_curve(cfg: ExperimentConfig, out: str) -> Outputs:
+def run_rd_curve(cfg: ExperimentConfig) -> Outputs:
     points = [rd.blahut_arimoto(cfg.source, cfg.distortion, b) for b in cfg.betas]
     return Outputs({
         "betas": cfg.betas,
@@ -283,7 +280,7 @@ def run_rd_curve(cfg: ExperimentConfig, out: str) -> Outputs:
                          [(p.beta, p.R, p.R / math.log(2), p.D, int(p.converged)) for p in points])})
 
 
-def run_ensemble(cfg: ExperimentConfig, out: str) -> Outputs:
+def run_ensemble(cfg: ExperimentConfig) -> Outputs:
     # the bound D0 exists only under the symmetry hypothesis; SymmetryError otherwise
     limit = theory.FreeEnergyLimit.for_distribution(symmetric_energy_law(cfg.coding, cfg.distortion), cfg.d)
     stats = treecode.simulate_ensemble(
@@ -306,7 +303,7 @@ def run_ensemble(cfg: ExperimentConfig, out: str) -> Outputs:
                          [(t, float(v)) for t, v in enumerate(stats.values)])})
 
 
-def run_verify_theorem(cfg: ExperimentConfig, out: str) -> Outputs:
+def run_verify_theorem(cfg: ExperimentConfig) -> Outputs:
     """Full pipeline: Q* via Blahut-Arimoto, symmetry gate, D0 vs D(R), and
     an ensemble gap trajectory over increasing n."""
     report = rd.verify_d0_equals_d(cfg.source, cfg.distortion, cfg.d)
@@ -338,7 +335,6 @@ def run_verify_theorem(cfg: ExperimentConfig, out: str) -> Outputs:
         exit_code=EXIT_OK if report.applicable else EXIT_NOT_APPLICABLE)
 
 
-# each runner(cfg, out) returns Outputs; it reads out only to resolve paths
 RUNNERS = {
     "dprm-converge": run_dprm_converge,
     "phase-scan": run_phase_scan,
@@ -366,7 +362,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     tables, encode's bitstream and <kind>_summary.json.  Only this function
     writes, and only after the run returns, so a failed run writes nothing."""
     out = out_dir or "."
-    outputs = RUNNERS[cfg.kind](cfg, out)
+    # a relative bitstream lives under out, so encode and decode name the same file; an absolute one is kept
+    outputs = RUNNERS[cfg.kind](replace(cfg, bitstream=os.path.join(out, cfg.bitstream or "encoded.bin")))
     os.makedirs(out, exist_ok=True)
     for name, (header, rows) in outputs.tables.items():
         _write_csv(os.path.join(out, name), header, rows)

@@ -1,6 +1,6 @@
-"""Rate-distortion numerics: Blahut-Arimoto, the slope-parametric curve
-representation, and the check that the tree-code ensemble bound -phi(beta_c)
-lands exactly on the distortion-rate function.
+"""Rate-distortion numerics: Blahut-Arimoto, and the check that the
+tree-code ensemble bound -phi(beta_c) lands exactly on the distortion-rate
+function.
 
 Rates are in nats throughout; bits appear only in CSV export columns.
 """
@@ -92,20 +92,6 @@ def blahut_arimoto(P: SourceModel, rho: DistortionMatrix, beta: float) -> RDPoin
         iterations=it,
         converged=converged,
     )
-
-
-def rd_point_parametric(
-    Q_star: CodingDistribution, rho: DistortionMatrix, beta: float
-) -> tuple[float, float]:
-    """(R, D) at slope beta from the single-letter representation
-    D = E{rho e^{-beta rho}} / E{e^{-beta rho}} under Y ~ Q*,
-    R = -(beta D + ln E{e^{-beta rho}}), with x immaterial by symmetry."""
-    law = symmetric_energy_law(Q_star, rho)
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    D = -law.log_mgf_prime(beta)
-    R = -(beta * D + law.log_mgf(beta))
-    return max(R, 0.0), D
 
 
 @dataclass(frozen=True)

@@ -80,8 +80,6 @@ class FreeEnergyLimit:
         return -self.phi_at_beta_c + 0.0  # normalize -0.0
 
     def f(self, beta: float) -> float:
-        if beta <= 0:
-            raise ValueError("beta must be > 0")
         if beta <= self.beta_c:
             return phi(self.energy_dist, self.d, beta)
         return self.phi_at_beta_c

@@ -29,7 +29,6 @@ from cayleycodec import (
     beta_c,
     decode_sequential,
     encode_exact,
-    free_energy_per_step,
     ground_state,
     internal_energy,
     log_partition_function,
@@ -67,7 +66,7 @@ def test_criterion_1_sandwich_invariant():
         n = 2 + (k % 9)  # 2..10
         beta = betas[k % 4]
         oracle = BranchEnergyOracle(k, dists[k % 3], TreeShape(d=d, n=n))
-        f = free_energy_per_step(oracle, beta)
+        f = log_partition_function(oracle, beta) / (n * beta)
         _, emin = ground_state(oracle)
         lower = f - math.log(d) / beta
         mid = -emin / n

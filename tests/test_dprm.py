@@ -14,7 +14,6 @@ from cayleycodec import (
     BranchEnergyOracle,
     EnergyDistribution,
     TreeShape,
-    free_energy_per_step,
     ground_state,
     internal_energy,
     log_partition_function,
@@ -68,11 +67,9 @@ def test_walk_validation():
 
 def test_branch_energy_deterministic():
     o = BranchEnergyOracle(4242, GAUSS, TreeShape(d=2, n=4))
-    assert o.energy(3, 5) == o.energy(3, 5)
+    assert o.generation_energies(3)[5] == o.generation_energies(3)[5]
     with pytest.raises(ValueError):
-        o.energy(5, 0)
-    with pytest.raises(ValueError):
-        o.energy(2, 4)
+        o.generation_energies(5)
 
 
 def test_point_mass_energies_are_constant():
@@ -128,7 +125,7 @@ def test_log_partition_matches_enumeration(seed):
 
 def test_free_energy_per_step_sign_convention():
     o = BranchEnergyOracle(1, EnergyDistribution.discrete([0.0], [1.0]), TreeShape(d=2, n=3))
-    assert free_energy_per_step(o, 1.0) == pytest.approx(math.log(2), abs=1e-12)
+    assert log_partition_function(o, 1.0) / (3 * 1.0) == pytest.approx(math.log(2), abs=1e-12)
     # d=1 chain: f = -(mean energy), independent of beta
     f = tree_sweep(lambda i: chain_oracle([1.0, 2.0, 3.0])[i], TreeShape(1, 3), [2.0]).log_z[0, 0] / (3 * 2.0)
     assert f == pytest.approx(-2.0, abs=1e-12)
@@ -255,7 +252,7 @@ def test_sandwich_inequality_per_realization():
         o = BranchEnergyOracle(seed, GAUSS, TreeShape(d=d, n=n))
         _, emin = ground_state(o)
         for beta in (0.5, 1.0, 2.0, 5.0):
-            f = free_energy_per_step(o, beta)
+            f = log_partition_function(o, beta) / (n * beta)
             assert f - math.log(d) / beta <= -emin / n + 1e-9
             assert -emin / n <= f + 1e-9
 
@@ -296,7 +293,7 @@ def test_monte_carlo_single_trial_equals_direct():
     shape = TreeShape(d=2, n=6)
     stats = monte_carlo_free_energy(2, [6], GAUSS, [0.8], 1, 555).cell(0, 0)
     o = BranchEnergyOracle(derive_seed(555, TRIAL_STREAM, 0), GAUSS, shape)
-    assert stats.values[0] == free_energy_per_step(o, 0.8)
+    assert stats.values[0] == log_partition_function(o, 0.8) / (6 * 0.8)
 
 
 def test_grid_cell_equals_single_cell():

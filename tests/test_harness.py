@@ -73,6 +73,15 @@ def test_config_requires_seed_and_kind():
     {"models": {"energy": {"kind": "gaussian", "mean": 0}}},
     {"models": {"energy": [1]}},
     {"beta": 0.5, "beta_grid": [1.0, 2.0, 3.0]},  # two beta sources, neither wins
+    # integer and boolean fields are taken as given, never coerced
+    {"master_seed": 1.5},
+    {"master_seed": "42"},
+    {"master_seed": True},
+    {"trials": 2.9},
+    {"shape": {"d": 2.9, "n_list": [4, 6]}},
+    {"shape": {"d": 2, "n_list": [4, "6"]}},
+    {"fixed_sequence": "false"},
+    {"fixed_sequence": 0},
 ])
 def test_config_rejects_malformed_sections(overrides):
     with pytest.raises(ConfigError):
@@ -542,6 +551,15 @@ def test_cli_rejects_d1_before_any_output(tmp_path, kind):
     raw["shape"]["d"] = 1
     out = tmp_path / "out"
     assert main([kind, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [{"d": 2, "n": 0}, {"d": 2, "n_list": [4, 0]}])
+def test_cli_verify_theorem_rejects_zero_block_length(tmp_path, shape):
+    # n = 0 is no block length; it must not silently drop the ensemble trajectory
+    raw = FULL_CONFIGS["verify-theorem"] | {"shape": shape}
+    out = tmp_path / "out"
+    assert main(["verify-theorem", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
     assert not out.exists()
 
 

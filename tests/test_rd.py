@@ -10,11 +10,26 @@ from cayleycodec import (
     SourceModel,
     SymmetryError,
     blahut_arimoto,
-    rd_point_parametric,
+    symmetric_energy_law,
     verify_d0_equals_d,
 )
 from cayleycodec import rd
 from cayleycodec.harness import ExperimentConfig, run_experiment
+
+
+def rd_point_parametric(
+    Q_star: CodingDistribution, rho: DistortionMatrix, beta: float
+) -> tuple[float, float]:
+    """(R, D) at slope beta from the single-letter representation
+    D = E{rho e^{-beta rho}} / E{e^{-beta rho}} under Y ~ Q*,
+    R = -(beta D + ln E{e^{-beta rho}}), with x immaterial by symmetry; an
+    independent check of Blahut-Arimoto."""
+    law = symmetric_energy_law(Q_star, rho)
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    D = -law.log_mgf_prime(beta)
+    R = -(beta * D + law.log_mgf(beta))
+    return max(R, 0.0), D
 
 
 def h_nats(p):

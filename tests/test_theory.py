@@ -53,6 +53,12 @@ def test_phi_bernoulli():
 def test_phi_rejects_nonpositive_beta():
     with pytest.raises(ValueError):
         phi(GAUSS, 2, 0.0)
+    # beta_c > 0, so the limit sends every beta <= 0 to phi, frozen phase or not
+    for dist in (GAUSS, BERN):
+        limit = FreeEnergyLimit.for_distribution(dist, 2)
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="beta must be > 0"):
+                limit.f(beta)
 
 
 def test_beta_c_gaussian_analytic():
