@@ -52,8 +52,6 @@ def validate_walk(steps, shape: TreeShape) -> np.ndarray:
     w = np.asarray(steps, dtype=np.int64)
     if w.shape != (shape.n,):
         raise ValueError(f"walk must have {shape.n} steps")
-    if not (0 <= w[-1] < shape.num_walks):
-        raise ValueError("walk: leaf index out of range")
     wrong = np.flatnonzero(w != walk_from_leaf(int(w[-1]), shape))
     if wrong.size:
         raise ValueError(f"walk: step {wrong[0] + 1} is not an ancestor of the leaf")

@@ -54,9 +54,9 @@ class ConfigError(ValueError):
 def _energy_dist_from(spec: dict) -> EnergyDistribution:
     kind = spec.get("kind")
     if kind == "gaussian":
-        return EnergyDistribution.gaussian(float(spec["mean"]), float(spec["std"]))
+        return EnergyDistribution.gaussian(*(_real(spec[k], f"energy.{k}") for k in ("mean", "std")))
     if kind == "discrete":
-        return EnergyDistribution.discrete(spec["values"], spec["probs"])
+        return EnergyDistribution.discrete(*(_real(spec[k], f"energy.{k}", 1) for k in ("values", "probs")))
     raise ConfigError(f"energy distribution kind must be gaussian|discrete, got {kind!r}")
 
 
@@ -65,6 +65,15 @@ def _int(value, what: str, lo: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= int(value) < 1 << 64:
         raise ConfigError(f"{what} must be an integer in [{lo}, 2^64), got {value!r}")
     return int(value)
+
+
+def _real(value, what: str, ndim: int = 0):
+    """Finite numbers as a float, or a float64 array of lists nested ndim deep; bools and strings are refused."""
+    if ndim and isinstance(value, list):
+        return np.array([_real(v, what, ndim - 1) for v in value], dtype=np.float64)
+    if ndim or isinstance(value, bool) or not isinstance(value, (int, float, np.number)) or not math.isfinite(value):
+        raise ConfigError(f"{what}: expected {'a list of ' * ndim}finite numbers, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -106,13 +115,13 @@ class ExperimentConfig:
         models = raw.get("models", {})
         cfg = cls(kind=kind, master_seed=seed)
         if "source" in models:
-            cfg.source = SourceModel(np.asarray(models["source"]["probs"], dtype=np.float64))
+            cfg.source = SourceModel(_real(models["source"]["probs"], "source.probs", 1))
         if "coding" in models:
-            cfg.coding = CodingDistribution(np.asarray(models["coding"]["probs"], dtype=np.float64))
+            cfg.coding = CodingDistribution(_real(models["coding"]["probs"], "coding.probs", 1))
         if "distortion" in models:
             spec = models["distortion"]
             cfg.distortion = (DistortionMatrix.hamming(_int(spec["hamming"], "hamming")) if "hamming" in spec
-                              else DistortionMatrix(np.asarray(spec["rows"], dtype=np.float64)))
+                              else DistortionMatrix(_real(spec["rows"], "distortion.rows", 2)))
         if "energy" in models:
             cfg.energy = _energy_dist_from(models["energy"])
 
@@ -127,21 +136,20 @@ class ExperimentConfig:
         if "beta" in raw and "beta_grid" in raw:
             raise ConfigError("give beta or beta_grid, not both")
         if "beta" in raw:
-            cfg.betas = [float(raw["beta"])]
+            cfg.betas = [_real(raw["beta"], "beta")]
         elif "beta_grid" in raw:
             g = raw["beta_grid"]
             if isinstance(g, list):
-                cfg.betas = [float(v) for v in g]
+                cfg.betas = _real(g, "beta_grid", 1).tolist()
             else:
-                start, stop, step = float(g["start"]), float(g["stop"]), float(g["step"])
+                start, stop, step = (_real(g[k], f"beta_grid.{k}") for k in ("start", "stop", "step"))
                 if not (step > 0 and stop > start and math.isfinite(stop - start)):
                     raise ConfigError("beta_grid needs finite bounds, step > 0 and stop > start")
                 count = int(round((stop - start) / step)) + 1
                 if count > MAX_GRID_POINTS:
                     raise ConfigError(f"beta_grid has {count} points, more than {MAX_GRID_POINTS}")
+                _real(start + (count - 1) * step, "beta_grid's last point")  # finite bounds, yet it can overflow
                 cfg.betas = [start + k * step for k in range(count)]
-        if not all(math.isfinite(b) for b in cfg.betas):
-            raise ConfigError("beta values must be finite")
         if any(b <= 0 for b in cfg.betas) and kind != "rd-curve":
             raise ConfigError("beta values must be > 0")
 
@@ -153,8 +161,9 @@ class ExperimentConfig:
             raise ConfigError(f"fixed_sequence must be true or false, got {cfg.fixed_sequence!r}")
         if "x" in raw:
             cfg.x = [_int(v, "x") for v in raw["x"]]
-        if "bitstream" in raw:
-            cfg.bitstream = str(raw["bitstream"])
+        if "bitstream" in raw and not (isinstance(raw["bitstream"], str) and raw["bitstream"]):
+            raise ConfigError(f"bitstream must be a nonempty string, got {raw['bitstream']!r}")
+        cfg.bitstream = raw.get("bitstream")
 
         for name in _REQUIRED[kind] + (("source",) if kind == "encode" and cfg.x is None else ()):
             if getattr(cfg, name) in (None, []):

@@ -96,17 +96,29 @@ def blahut_arimoto(P: SourceModel, rho: DistortionMatrix, beta: float) -> RDPoin
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Outcome of checking D0(R) against the distortion-rate function; d0
-    and gap are None when Q* fails the symmetry hypothesis."""
+    """Outcome of checking D0(R) against the distortion-rate function; d0 is
+    None when Q* fails the symmetry hypothesis."""
 
+    point: RDPoint  # the curve point at rate ln d: slope beta, D(R) and Q*
     d0: float | None
-    d_of_r: float
-    gap: float | None
-    passed: bool
-    applicable: bool  # False when Q* fails the symmetry hypothesis
     degenerate: bool  # rate hit the endpoint R -> ln|Y| (D -> 0)
-    point: RDPoint  # the curve point at rate ln d: slope beta and Q*
     detail: str = ""
+
+    @property
+    def d_of_r(self) -> float:
+        return self.point.D
+
+    @property
+    def applicable(self) -> bool:
+        return self.d0 is not None
+
+    @property
+    def gap(self) -> float | None:
+        return abs(self.d0 - self.point.D) if self.applicable else None
+
+    @property
+    def passed(self) -> bool:
+        return self.applicable and self.gap <= D0_TOL
 
 
 def _solve_beta_for_rate(P: SourceModel, rho: DistortionMatrix, r_target: float) -> tuple[RDPoint, bool]:
@@ -149,26 +161,7 @@ def verify_d0_equals_d(P: SourceModel, rho: DistortionMatrix, d: int) -> Theorem
     try:
         law = symmetric_energy_law(point.Q_star, rho)
     except SymmetryError as exc:
-        return TheoremReport(
-            d0=None,
-            d_of_r=point.D,
-            gap=None,
-            passed=False,
-            applicable=False,
-            degenerate=degenerate,
-            point=point,
-            detail=f"theorem hypothesis fails: {exc}",
-        )
+        return TheoremReport(point, None, degenerate, f"theorem hypothesis fails: {exc}")
     limit = FreeEnergyLimit.for_distribution(law, d)
     degenerate = degenerate or not limit.frozen_phase_exists
-    gap = abs(limit.d0 - point.D)
-    return TheoremReport(
-        d0=limit.d0,
-        d_of_r=point.D,
-        gap=gap,
-        passed=gap <= D0_TOL,
-        applicable=True,
-        degenerate=degenerate,
-        point=point,
-        detail="degenerate zero-distortion endpoint" if degenerate else "",
-    )
+    return TheoremReport(point, limit.d0, degenerate, "degenerate zero-distortion endpoint" if degenerate else "")

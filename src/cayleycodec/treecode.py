@@ -10,7 +10,6 @@ the whole path, and the decoder reads every letter off that one index.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -116,8 +115,9 @@ def encode_beam(code: TreeCode, x, rho: DistortionMatrix, M: int) -> EncodingRes
     ranked by partial distortion, ties by lexicographic path.
 
     A single fixed-width sweep is not monotone in M (a wider beam can evict
-    the narrow beam's eventual winner), so the result is the best leaf over
-    sweeps of every width 1..M, which makes distortion nonincreasing in M by
+    the narrow beam's eventual winner), so the result is the least
+    (distortion, leaf) pair over sweeps of every width 1..M, compared exactly
+    as the sweeps rank paths; distortion is nonincreasing in M by
     construction.  All widths run as rows of one batched sweep, in blocks of
     at most _BEAM_CELLS sort cells to cap memory.  Distortion is >= the exact
     encoder's; equal once M >= d^(n-1), where the widest sweep is exhaustive.
@@ -127,11 +127,8 @@ def encode_beam(code: TreeCode, x, rho: DistortionMatrix, M: int) -> EncodingRes
     x = _check_source_tuple(code, x, rho)
     W = min(M, code.shape.d ** (code.shape.n - 1))
     rows = max(1, _BEAM_CELLS // (W * code.shape.d))
-    best_leaf, best_dist = None, math.inf
-    for lo in range(1, W + 1, rows):
-        for leaf, dist in zip(*_beam_sweep(code, x, rho, np.arange(lo, min(lo + rows, W + 1)))):
-            if dist < best_dist - 1e-15 or (abs(dist - best_dist) <= 1e-15 and leaf < best_leaf):
-                best_leaf, best_dist = leaf, dist
+    _, best_leaf = min((dist, leaf) for lo in range(1, W + 1, rows)
+                       for leaf, dist in zip(*_beam_sweep(code, x, rho, np.arange(lo, min(lo + rows, W + 1)))))
     walk = walk_from_leaf(best_leaf, code.shape)
     return _result_from_walk(code, x, rho, walk)
 

@@ -82,6 +82,18 @@ def test_config_requires_seed_and_kind():
     {"shape": {"d": 2, "n_list": [4, "6"]}},
     {"fixed_sequence": "false"},
     {"fixed_sequence": 0},
+    # real-valued fields take only finite JSON numbers, and bitstream only a nonempty string
+    {"beta": True},
+    {"beta": "0.5"},
+    {"models": {"energy": {"kind": "gaussian", "mean": 0.0, "std": True}}},
+    {"models": {"energy": {"kind": "gaussian", "mean": "1", "std": 1.0}}},
+    {"models": {"energy": {"kind": "discrete", "values": ["0", "1"], "probs": [0.5, 0.5]}}},
+    {"models": {"energy": GAUSS_ENERGY, "source": {"probs": [True, False]}}},
+    {"models": {"energy": GAUSS_ENERGY, "coding": {"probs": ["0.5", "0.5"]}}},
+    {"models": {"energy": GAUSS_ENERGY, "distortion": {"rows": [["0", "1"], ["1", "0"]]}}},
+    {"bitstream": None},
+    {"bitstream": ["a"]},
+    {"bitstream": ""},
 ])
 def test_config_rejects_malformed_sections(overrides):
     with pytest.raises(ConfigError):
@@ -94,6 +106,9 @@ def test_config_rejects_malformed_sections(overrides):
     {"start": 0.5, "stop": math.inf, "step": 0.1},
     {"start": 0.5, "stop": math.nan, "step": 0.1},
     {"start": 0.5, "stop": 1.0, "step": math.nan},
+    ["0.5", True],
+    {"start": "0.5", "stop": 1.0, "step": 0.25},
+    {"start": 0.0, "stop": 1.7e308, "step": 1e308},  # finite bounds, but the last point overflows
 ])
 def test_config_rejects_malformed_beta_grid(grid):
     base = {k: v for k, v in converge_config().items() if k != "beta"}

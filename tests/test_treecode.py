@@ -169,12 +169,16 @@ def test_beam_m1_is_greedy():
     assert list(res.walk) == walk
 
 
-@pytest.mark.parametrize("seed", [4, 5, 6])
-def test_beam_full_width_equals_exact(seed):
-    code = make_code(seed, 2, 5)
-    x = (np.arange(5) * 3) % 4
-    exact = encode_exact(code, x, HAMMING4)
-    beam = encode_beam(code, x, HAMMING4, 2**4)
+@pytest.mark.parametrize("seed, x, rho", [
+    *((s, (np.arange(5) * 3) % 4, HAMMING4) for s in (4, 5, 6)),
+    # decimal distortions: leaf 3 sums to 0.3 and leaf 1 to 0.30000000000000004,
+    # so the winner must be taken by exact comparison, as the sweeps rank paths
+    (14, [0, 3], DistortionMatrix([[.1, .2, .3, 0], [.2, .1, 0, .3], [.3, 0, .1, .2], [0, .3, .2, .1]])),
+], ids=["4", "5", "6", "decimal"])
+def test_beam_full_width_equals_exact(seed, x, rho):
+    code = make_code(seed, 2, len(x))
+    exact = encode_exact(code, x, rho)
+    beam = encode_beam(code, x, rho, 2 ** (len(x) - 1))
     assert list(beam.walk) == list(exact.walk)
     assert beam.total_distortion == exact.total_distortion
 
