@@ -1,7 +1,7 @@
 """Experiment orchestration in three steps: parse, run, write.
 
-`ExperimentConfig.from_dict` validates a config, including the fields its
-kind requires; each `run_<kind>(cfg)` computes and returns its `Outputs`
+`ExperimentConfig.from_dict` validates a config, which may hold only the
+fields its kind reads; each `run_<kind>(cfg)` computes and returns its `Outputs`
 without touching the file system; `run_experiment` alone writes them, so a
 failed run writes nothing.  All randomness flows from the master seed through
 named substreams, so identical config + seed reproduces byte-identical outputs.
@@ -20,10 +20,9 @@ import numpy as np
 from . import rd, theory, treecode
 from .dprm import TreeShape, monte_carlo_free_energy
 from .model import (
-    CodingDistribution,
     DistortionMatrix,
     EnergyDistribution,
-    SourceModel,
+    Pmf,
     symmetric_energy_law,
 )
 from .rng import SOURCE_STREAM, uniforms
@@ -35,29 +34,29 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_APPLICABLE = 2
 
-# fields each kind needs; encode also needs source when the config has no x
-_REQUIRED = {
-    "dprm-converge": ("energy", "d", "betas"),
-    "phase-scan": ("energy", "d", "betas"),
-    "encode": ("coding", "distortion", "d", "n"),
-    "decode": ("coding", "bitstream"),
-    "rd-curve": ("source", "distortion", "betas"),
-    "verify-theorem": ("source", "distortion", "d"),
-    "ensemble": ("source", "coding", "distortion", "d", "n"),
+# per kind, the fields it requires and those it may also take; every kind also takes kind and master_seed
+_FIELDS = {
+    "dprm-converge": (("energy", "d", "betas"), ("n", "n_list", "trials")),
+    "phase-scan": (("energy", "d", "betas"), ()),
+    "encode": (("coding", "distortion", "d", "n"), ("source", "x", "beam_width", "bitstream")),
+    "decode": (("coding", "bitstream"), ()),
+    "rd-curve": (("source", "distortion", "betas"), ()),
+    "verify-theorem": (("source", "distortion", "d"), ("n", "n_list", "trials", "fixed_sequence")),
+    "ensemble": (("source", "coding", "distortion", "d", "n"), ("trials", "fixed_sequence")),
 }
+_MODELS, _SHAPE = {"source", "coding", "distortion", "energy"}, {"d", "n", "n_list"}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _energy_dist_from(spec: dict) -> EnergyDistribution:
-    kind = spec.get("kind")
-    if kind == "gaussian":
-        return EnergyDistribution.gaussian(*(_real(spec[k], f"energy.{k}") for k in ("mean", "std")))
-    if kind == "discrete":
-        return EnergyDistribution.discrete(*(_real(spec[k], f"energy.{k}", 1) for k in ("values", "probs")))
-    raise ConfigError(f"energy distribution kind must be gaussian|discrete, got {kind!r}")
+def _only(block: dict, allowed, where: str) -> dict:
+    """block, refused if it holds a key outside allowed."""
+    unknown = block.keys() - set(allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {min(unknown)!r}; it takes {sorted(allowed)}")
+    return block
 
 
 def _int(value, what: str, lo: int = 0) -> int:
@@ -82,8 +81,8 @@ class ExperimentConfig:
 
     kind: str
     master_seed: int
-    source: SourceModel | None = None
-    coding: CodingDistribution | None = None
+    source: Pmf | None = None
+    coding: Pmf | None = None
     distortion: DistortionMatrix | None = None
     energy: EnergyDistribution | None = None
     d: int | None = None
@@ -110,31 +109,45 @@ class ExperimentConfig:
 
     @classmethod
     def _parse(cls, kind: str, raw: dict) -> "ExperimentConfig":
-        seed = _int(raw["master_seed"], "master_seed")
-
-        models = raw.get("models", {})
-        cfg = cls(kind=kind, master_seed=seed)
-        if "source" in models:
-            cfg.source = SourceModel(_real(models["source"]["probs"], "source.probs", 1))
-        if "coding" in models:
-            cfg.coding = CodingDistribution(_real(models["coding"]["probs"], "coding.probs", 1))
-        if "distortion" in models:
-            spec = models["distortion"]
-            cfg.distortion = (DistortionMatrix.hamming(_int(spec["hamming"], "hamming")) if "hamming" in spec
-                              else DistortionMatrix(_real(spec["rows"], "distortion.rows", 2)))
+        required, optional = _FIELDS[kind]
+        fields = set(required + optional)
+        models = _only(raw.get("models", {}), fields & _MODELS, f"{kind} models")
+        shape = _only(raw.get("shape", {}), fields & _SHAPE, f"{kind} shape")
+        top = {"kind", "master_seed", "models", *fields - _MODELS - _SHAPE - {"betas"}}
+        top |= ({"shape"} if fields & _SHAPE else set()) | ({"beta", "beta_grid"} if "betas" in fields else set())
+        _only(raw, top, f"{kind} config")
+        rho = _only(models.get("distortion", {}), ("hamming", "rows"), "models.distortion")
+        for a, b in (("beta", "beta_grid"), ("n", "n_list"), ("x", "source"), ("hamming", "rows")):
+            if {a, b} <= {*raw, *models, *shape, *rho}:  # else one half would silently win
+                raise ConfigError(f"give {a} or {b}, not both")
+        cfg = cls(kind=kind, master_seed=_int(raw["master_seed"], "master_seed"))
+        for name in ("source", "coding"):
+            if name in models:
+                probs = _only(models[name], ("probs",), f"models.{name}")["probs"]
+                setattr(cfg, name, Pmf(_real(probs, f"{name}.probs", 1)))
+        if "hamming" in rho:
+            k = _int(rho["hamming"], "hamming")
+            sizes = {pmf.alphabet_size for pmf in (cfg.source, cfg.coding) if pmf is not None} - {k}
+            if sizes:  # refused before the k x k matrix is built
+                raise ConfigError(f"hamming order {k} differs from the alphabet size {min(sizes)}")
+            cfg.distortion = DistortionMatrix.hamming(k)
+        elif "distortion" in models:
+            cfg.distortion = DistortionMatrix(_real(rho["rows"], "distortion.rows", 2))
         if "energy" in models:
-            cfg.energy = _energy_dist_from(models["energy"])
+            spec = models["energy"]
+            law = spec.get("kind")
+            if law not in ("gaussian", "discrete"):
+                raise ConfigError(f"energy distribution kind must be gaussian|discrete, got {law!r}")
+            keys, ndim = (("mean", "std"), 0) if law == "gaussian" else (("values", "probs"), 1)
+            _only(spec, ("kind", *keys), f"models.energy ({law})")
+            cfg.energy = getattr(EnergyDistribution, law)(*(_real(spec[k], f"energy.{k}", ndim) for k in keys))
 
-        shape = raw.get("shape", {})
-        if "d" in shape:
-            cfg.d = _int(shape["d"], "shape.d")
-        if "n" in shape:
-            cfg.n = _int(shape["n"], "shape.n", 1)
+        for name, lo in (("d", 0), ("n", 1)):
+            if name in shape:
+                setattr(cfg, name, _int(shape[name], f"shape.{name}", lo))
         if "n_list" in shape:
             cfg.n_list = [_int(v, "shape.n_list", 1) for v in shape["n_list"]]
 
-        if "beta" in raw and "beta_grid" in raw:
-            raise ConfigError("give beta or beta_grid, not both")
         if "beta" in raw:
             cfg.betas = [_real(raw["beta"], "beta")]
         elif "beta_grid" in raw:
@@ -142,6 +155,7 @@ class ExperimentConfig:
             if isinstance(g, list):
                 cfg.betas = _real(g, "beta_grid", 1).tolist()
             else:
+                _only(g, ("start", "stop", "step"), "beta_grid")
                 start, stop, step = (_real(g[k], f"beta_grid.{k}") for k in ("start", "stop", "step"))
                 if not (step > 0 and stop > start and math.isfinite(stop - start)):
                     raise ConfigError("beta_grid needs finite bounds, step > 0 and stop > start")
@@ -150,8 +164,8 @@ class ExperimentConfig:
                     raise ConfigError(f"beta_grid has {count} points, more than {MAX_GRID_POINTS}")
                 _real(start + (count - 1) * step, "beta_grid's last point")  # finite bounds, yet it can overflow
                 cfg.betas = [start + k * step for k in range(count)]
-        if any(b <= 0 for b in cfg.betas) and kind != "rd-curve":
-            raise ConfigError("beta values must be > 0")
+        if any(b < 0 or (b == 0 and kind != "rd-curve") for b in cfg.betas):
+            raise ConfigError("beta values must be > 0; rd-curve also takes 0, the rate-zero end of its curve")
 
         cfg.trials = _int(raw.get("trials", 1), "trials", 1)
         if "beam_width" in raw:
@@ -165,7 +179,7 @@ class ExperimentConfig:
             raise ConfigError(f"bitstream must be a nonempty string, got {raw['bitstream']!r}")
         cfg.bitstream = raw.get("bitstream")
 
-        for name in _REQUIRED[kind] + (("source",) if kind == "encode" and cfg.x is None else ()):
+        for name in required + (("source",) if kind == "encode" and cfg.x is None else ()):
             if getattr(cfg, name) in (None, []):
                 raise ConfigError(f"{kind}: config field {name!r} is required")
         if kind == "dprm-converge" and not cfg.n_list and cfg.n is None:

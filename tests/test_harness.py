@@ -52,6 +52,10 @@ def converge_config(**overrides):
     return cfg
 
 
+# the messages of the boolean, string and real-valued type rules
+TYPE_RULE = r"must be true or false|must be a nonempty string|: expected (a list of )*finite numbers"
+
+
 def test_config_requires_seed_and_kind():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "dprm-converge"})
@@ -80,24 +84,32 @@ def test_config_requires_seed_and_kind():
     {"trials": 2.9},
     {"shape": {"d": 2.9, "n_list": [4, 6]}},
     {"shape": {"d": 2, "n_list": [4, "6"]}},
-    {"fixed_sequence": "false"},
-    {"fixed_sequence": 0},
+    {"kind": "ensemble", "fixed_sequence": "false"},
+    {"kind": "ensemble", "fixed_sequence": 0},
     # real-valued fields take only finite JSON numbers, and bitstream only a nonempty string
     {"beta": True},
     {"beta": "0.5"},
     {"models": {"energy": {"kind": "gaussian", "mean": 0.0, "std": True}}},
     {"models": {"energy": {"kind": "gaussian", "mean": "1", "std": 1.0}}},
     {"models": {"energy": {"kind": "discrete", "values": ["0", "1"], "probs": [0.5, 0.5]}}},
-    {"models": {"energy": GAUSS_ENERGY, "source": {"probs": [True, False]}}},
-    {"models": {"energy": GAUSS_ENERGY, "coding": {"probs": ["0.5", "0.5"]}}},
-    {"models": {"energy": GAUSS_ENERGY, "distortion": {"rows": [["0", "1"], ["1", "0"]]}}},
-    {"bitstream": None},
-    {"bitstream": ["a"]},
-    {"bitstream": ""},
+    {"kind": "rd-curve", "models": {"source": {"probs": [True, False]}, "distortion": {"hamming": 2}}},
+    {"kind": "ensemble", "models": {"source": {"probs": [0.5, 0.5]}, "coding": {"probs": ["0.5", "0.5"]},
+                                    "distortion": {"hamming": 2}}},
+    {"kind": "rd-curve", "models": {"source": {"probs": [0.5, 0.5]},
+                                    "distortion": {"rows": [["0", "1"], ["1", "0"]]}}},
+    {"kind": "decode", "bitstream": None},
+    {"kind": "decode", "bitstream": ["a"]},
+    {"kind": "decode", "bitstream": ""},
 ])
 def test_config_rejects_malformed_sections(overrides):
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(converge_config(**overrides))
+    # a case naming a kind breaks a field dprm-converge does not read, on that kind's full config, so
+    # that the type rule refuses it and not the rule against keys a kind does not read
+    if "kind" in overrides:
+        with pytest.raises(ConfigError, match=TYPE_RULE):
+            ExperimentConfig.from_dict(FULL_CONFIGS[overrides["kind"]] | overrides)
+    else:
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(converge_config(**overrides))
 
 
 @pytest.mark.parametrize("grid", [
@@ -176,16 +188,24 @@ _CONFIG = st.fixed_dictionaries(
         "bitstream": _JSON,
     },
 )
+# a valid config of each kind with up to two fields set to valid values, so that some draws parse
+_NEAR_VALID = st.deferred(lambda: st.builds(
+    _with, st.sampled_from([*FULL_CONFIGS.values(), *OTHER_HALVES]),
+    st.lists(st.sampled_from(sorted(FIELD_VALUES)), max_size=2)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(raw=_CONFIG)
+@given(raw=_CONFIG | _NEAR_VALID)
 def test_config_from_dict_fails_only_with_value_errors(raw):
     try:
         cfg = ExperimentConfig.from_dict(raw)
     except ValueError:  # ConfigError and model validation errors
         return
     assert all(math.isfinite(b) for b in cfg.betas)
+    # both strategies draw every field for every kind, so this checks the kind's table
+    given = {(k,) for k in raw if k not in ("models", "shape")}
+    given |= {(block, k) for block in ("models", "shape") for k in raw.get(block, {})}
+    assert given <= {("kind",), ("master_seed",), *(p for name in FIELDS[cfg.kind] for p in _json_paths(name))}
 
 
 def test_beta_grid_expansion():
@@ -497,12 +517,12 @@ def test_cli_phase_scan_rejects_unordered_grid(tmp_path, grid):
 
 
 UNIFORM4 = {"probs": [0.25] * 4}
-# one valid config per kind, holding every field the kind requires
+# one valid config per kind, holding every field the kind takes but those in OTHER_HALVES
 FULL_CONFIGS = {
     "dprm-converge": converge_config(),
     "phase-scan": {"kind": "phase-scan", "master_seed": 1, "models": {"energy": GAUSS_ENERGY},
                    "shape": {"d": 2}, "beta_grid": [0.5, 0.6, 0.7]},
-    "encode": ENCODE_X,
+    "encode": ENCODE_X | {"beam_width": 2},
     "decode": {"kind": "decode", "master_seed": 1, "models": {"coding": UNIFORM4},
                "bitstream": "walk.bin"},
     "rd-curve": {"kind": "rd-curve", "master_seed": 1,
@@ -510,11 +530,20 @@ FULL_CONFIGS = {
                  "beta_grid": [0.5, 1.0]},
     "verify-theorem": {"kind": "verify-theorem", "master_seed": 1,
                        "models": {"source": UNIFORM4, "distortion": {"hamming": 4}},
-                       "shape": {"d": 2}},
+                       "shape": {"d": 2, "n_list": [4]}, "trials": 2, "fixed_sequence": True},
     "ensemble": {"kind": "ensemble", "master_seed": 1,
                  "models": {"source": UNIFORM4, "coding": UNIFORM4, "distortion": {"hamming": 4}},
-                 "shape": {"d": 2, "n": 4}},
+                 "shape": {"d": 2, "n": 4}, "trials": 2, "fixed_sequence": True},
 }
+# the fields FULL_CONFIGS leaves out: the other half of each pair a config may give only one of, and
+# encode's bitstream, which other tests expect to take its default name
+OTHER_HALVES = [
+    converge_config(shape={"d": 2, "n": 4}),
+    FULL_CONFIGS["verify-theorem"] | {"shape": {"d": 2, "n": 4}},
+    {"kind": "encode", "master_seed": 1,
+     "models": {"source": UNIFORM4, "coding": UNIFORM4, "distortion": {"hamming": 4}},
+     "shape": {"d": 2, "n": 4}, "bitstream": "walk.bin"},
+]
 REQUIRED_FIELDS = [
     ("dprm-converge", "energy"), ("dprm-converge", "d"), ("dprm-converge", "betas"),
     ("phase-scan", "energy"), ("phase-scan", "d"), ("phase-scan", "betas"),
@@ -525,20 +554,46 @@ REQUIRED_FIELDS = [
     ("ensemble", "source"), ("ensemble", "coding"), ("ensemble", "distortion"),
     ("ensemble", "d"), ("ensemble", "n"),
 ]
+OPTIONAL_FIELDS = [
+    ("dprm-converge", "n"), ("dprm-converge", "n_list"), ("dprm-converge", "trials"),
+    ("encode", "source"), ("encode", "x"), ("encode", "beam_width"), ("encode", "bitstream"),
+    ("verify-theorem", "n"), ("verify-theorem", "n_list"), ("verify-theorem", "trials"),
+    ("verify-theorem", "fixed_sequence"),
+    ("ensemble", "trials"), ("ensemble", "fixed_sequence"),
+]
+# every field a kind takes besides kind and master_seed; a config holding any other is refused
+FIELDS = {kind: {name for k, name in REQUIRED_FIELDS + OPTIONAL_FIELDS if k == kind} for kind in EXPERIMENT_KINDS}
+# a valid value for each config field
+FIELD_VALUES = {
+    "energy": GAUSS_ENERGY, "source": UNIFORM4, "coding": UNIFORM4, "distortion": {"hamming": 4},
+    "d": 2, "n": 4, "n_list": [4], "betas": 0.5, "trials": 2, "beam_width": 2,
+    "fixed_sequence": True, "x": [0, 1, 2, 3], "bitstream": "walk.bin",
+}
+
+
+def _json_paths(name):
+    """The JSON key paths that give the config field `name`."""
+    if name in ("energy", "source", "coding", "distortion"):
+        return [("models", name)]
+    if name in ("d", "n", "n_list"):
+        return [("shape", name)]
+    return [("beta",), ("beta_grid",)] if name == "betas" else [(name,)]
 
 
 def _without(raw, name):
     """raw with the config field `name` removed from wherever the JSON holds it."""
     raw = json.loads(json.dumps(raw))
-    if name in ("energy", "source", "coding", "distortion"):
-        del raw["models"][name]
-    elif name in ("d", "n"):
-        del raw["shape"][name]
-    elif name == "betas":
-        raw.pop("beta", None)
-        raw.pop("beta_grid", None)
-    else:
-        del raw[name]
+    for *block, key in _json_paths(name):
+        (raw.get(block[0], {}) if block else raw).pop(key, None)
+    return raw
+
+
+def _with(raw, names):
+    """raw with each config field in `names` set to a valid value at its first JSON path."""
+    raw = json.loads(json.dumps(raw))
+    for name in names:
+        *block, key = _json_paths(name)[0]
+        (raw.setdefault(block[0], {}) if block else raw)[key] = FIELD_VALUES[name]
     return raw
 
 
@@ -546,6 +601,93 @@ def test_full_configs_parse():
     assert set(FULL_CONFIGS) == set(EXPERIMENT_KINDS)
     for raw in FULL_CONFIGS.values():
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_every_field_of_a_kind_parses(kind):
+    configs = [FULL_CONFIGS[kind]] + [raw for raw in OTHER_HALVES if raw["kind"] == kind]
+    given = set()
+    for raw in configs:
+        ExperimentConfig.from_dict(raw)
+        given |= {name for name in FIELD_VALUES if _without(raw, name) != raw}
+    assert given == FIELDS[kind]
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_config_refuses_every_field_its_kind_does_not_read(tmp_path, kind):
+    for name in set(FIELD_VALUES) - FIELDS[kind]:
+        key = _json_paths(name)[0][-1]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            ExperimentConfig.from_dict(_with(FULL_CONFIGS[kind], [name]))
+    # the CLI exits 1 and writes nothing for such a config
+    out = tmp_path / "out"
+    raw = _with(FULL_CONFIGS[kind], [min(set(FIELD_VALUES) - FIELDS[kind])])
+    assert main([kind, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, key", [
+    # a misspelled key would otherwise leave its field at the default
+    (converge_config(trails=50), "trails"),
+    (converge_config(models={"energy": GAUSS_ENERGY | {"sdt": 5}}), "sdt"),
+    # one unknown key in each nested block
+    (converge_config(models={"energy": GAUSS_ENERGY, "enrgy": GAUSS_ENERGY}), "enrgy"),
+    (converge_config(models={"energy": {"kind": "discrete", "values": [0.0], "probs": [1.0], "std": 1.0}}), "std"),
+    (converge_config(shape={"d": 2, "n_list": [4, 6], "m": 4}), "m"),
+    (FULL_CONFIGS["rd-curve"] | {"beta_grid": {"start": 0.5, "stop": 1.0, "step": 0.25, "num": 3}}, "num"),
+    (FULL_CONFIGS["ensemble"] | {"models": {"source": UNIFORM4 | {"p": 1}, "coding": UNIFORM4,
+                                            "distortion": {"hamming": 4}}}, "p"),
+    (FULL_CONFIGS["ensemble"] | {"models": {"source": UNIFORM4, "coding": {"probs": [0.25] * 4, "values": [1]},
+                                            "distortion": {"hamming": 4}}}, "values"),
+    (FULL_CONFIGS["encode"] | {"models": {"coding": UNIFORM4, "distortion": {"hamming": 4, "scale": 2}}}, "scale"),
+])
+def test_config_refuses_unknown_keys_at_every_level(tmp_path, raw, key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        ExperimentConfig.from_dict(raw)
+    out = tmp_path / "out"
+    assert main([raw["kind"], "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, pair", [
+    (converge_config(beta_grid=[0.5, 1.0]), "beta or beta_grid"),
+    (converge_config(shape={"d": 2, "n": 4, "n_list": [4, 6]}), "n or n_list"),
+    (FULL_CONFIGS["verify-theorem"] | {"shape": {"d": 2, "n": 4, "n_list": [4]}}, "n or n_list"),
+    (FULL_CONFIGS["encode"] | {"models": {"source": UNIFORM4, "coding": UNIFORM4,
+                                          "distortion": {"hamming": 4}}}, "x or source"),
+    (FULL_CONFIGS["rd-curve"] | {"models": {"source": UNIFORM4,
+                                            "distortion": {"hamming": 4, "rows": [[0, 1], [1, 0]]}}},
+     "hamming or rows"),
+])
+def test_config_refuses_both_halves_of_a_pair(raw, pair):
+    # else one half would silently win over the other
+    with pytest.raises(ConfigError, match=f"give {pair}, not both"):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("kind, models, sizes", [
+    ("rd-curve", {"source": {"probs": [0.5, 0.5]}, "distortion": {"hamming": 4}}, (4, 2)),
+    ("verify-theorem", {"source": UNIFORM4, "distortion": {"hamming": 3}}, (3, 4)),
+    ("encode", {"coding": {"probs": [0.5, 0.5]}, "distortion": {"hamming": 4}}, (4, 2)),
+    ("ensemble", {"source": UNIFORM4, "coding": {"probs": [0.5, 0.5]}, "distortion": {"hamming": 4}}, (4, 2)),
+])
+def test_config_refuses_hamming_order_unlike_the_alphabet(tmp_path, kind, models, sizes):
+    # refused before the k x k matrix is built, so a stray order cannot exhaust memory first
+    raw = FULL_CONFIGS[kind] | {"models": models}
+    with pytest.raises(ConfigError, match="hamming order {} differs from the alphabet size {}".format(*sizes)):
+        ExperimentConfig.from_dict(raw)
+    out = tmp_path / "out"
+    assert main([kind, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_rd_curve_refuses_negative_beta():
+    base = _without(FULL_CONFIGS["rd-curve"], "betas")
+    for betas in ({"beta": -1.0}, {"beta_grid": [-0.5, 1.0]}):
+        with pytest.raises(ConfigError, match="beta values must be > 0"):
+            ExperimentConfig.from_dict(base | betas)
+    # beta = 0 is the rate-zero end of the curve
+    assert ExperimentConfig.from_dict(base | {"beta_grid": [0.0, 1.0]}).betas == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("kind, name", REQUIRED_FIELDS + [("encode", "source")])
