@@ -34,16 +34,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_APPLICABLE = 2
 
-# per kind, the fields it requires and those it may also take; every kind also takes kind and master_seed
-_FIELDS = {
-    "dprm-converge": (("energy", "d", "betas"), ("n", "n_list", "trials")),
-    "phase-scan": (("energy", "d", "betas"), ()),
-    "encode": (("coding", "distortion", "d", "n"), ("source", "x", "beam_width", "bitstream")),
-    "decode": (("coding", "bitstream"), ()),
-    "rd-curve": (("source", "distortion", "betas"), ()),
-    "verify-theorem": (("source", "distortion", "d"), ("n", "n_list", "trials", "fixed_sequence")),
-    "ensemble": (("source", "coding", "distortion", "d", "n"), ("trials", "fixed_sequence")),
-}
 _MODELS, _SHAPE = {"source", "coding", "distortion", "energy"}, {"d", "n", "n_list"}
 
 
@@ -109,16 +99,16 @@ class ExperimentConfig:
 
     @classmethod
     def _parse(cls, kind: str, raw: dict) -> "ExperimentConfig":
-        required, optional = _FIELDS[kind]
+        _, required, optional = _KINDS[kind]
         fields = set(required + optional)
         models = _only(raw.get("models", {}), fields & _MODELS, f"{kind} models")
         shape = _only(raw.get("shape", {}), fields & _SHAPE, f"{kind} shape")
         top = {"kind", "master_seed", "models", *fields - _MODELS - _SHAPE - {"betas"}}
-        top |= ({"shape"} if fields & _SHAPE else set()) | ({"beta", "beta_grid"} if "betas" in fields else set())
+        top |= ({"shape"} if fields & _SHAPE else set()) | ({"beta_grid"} if "betas" in fields else set())
         _only(raw, top, f"{kind} config")
         rho = _only(models.get("distortion", {}), ("hamming", "rows"), "models.distortion")
-        for a, b in (("beta", "beta_grid"), ("n", "n_list"), ("x", "source"), ("hamming", "rows")):
-            if {a, b} <= {*raw, *models, *shape, *rho}:  # else one half would silently win
+        for a, b in (("x", "source"), ("hamming", "rows")):
+            if {a, b} <= {*raw, *models, *rho}:  # else one half would silently win
                 raise ConfigError(f"give {a} or {b}, not both")
         cfg = cls(kind=kind, master_seed=_int(raw["master_seed"], "master_seed"))
         for name in ("source", "coding"):
@@ -127,12 +117,16 @@ class ExperimentConfig:
                 setattr(cfg, name, Pmf(_real(probs, f"{name}.probs", 1)))
         if "hamming" in rho:
             k = _int(rho["hamming"], "hamming")
-            sizes = {pmf.alphabet_size for pmf in (cfg.source, cfg.coding) if pmf is not None} - {k}
-            if sizes:  # refused before the k x k matrix is built
-                raise ConfigError(f"hamming order {k} differs from the alphabet size {min(sizes)}")
-            cfg.distortion = DistortionMatrix.hamming(k)
+            dims = (k, k)  # checked against a pmf before the k x k matrix is built
         elif "distortion" in models:
             cfg.distortion = DistortionMatrix(_real(rho["rows"], "distortion.rows", 2))
+            dims = cfg.distortion.values.shape
+        for size, axis, name in zip(dims if rho else (), ("rows", "columns"), ("source", "coding")):
+            pmf = getattr(cfg, name)
+            if pmf is not None and pmf.alphabet_size != size:
+                raise ConfigError(f"distortion has {size} {axis} but {pmf.alphabet_size} {name} letters")
+        if "hamming" in rho and (cfg.source or cfg.coding):  # else the required rule names the missing pmf
+            cfg.distortion = DistortionMatrix.hamming(k)
         if "energy" in models:
             spec = models["energy"]
             law = spec.get("kind")
@@ -142,15 +136,12 @@ class ExperimentConfig:
             _only(spec, ("kind", *keys), f"models.energy ({law})")
             cfg.energy = getattr(EnergyDistribution, law)(*(_real(spec[k], f"energy.{k}", ndim) for k in keys))
 
-        for name, lo in (("d", 0), ("n", 1)):
+        for name, lo in (("d", 2), ("n", 1)):
             if name in shape:
                 setattr(cfg, name, _int(shape[name], f"shape.{name}", lo))
-        if "n_list" in shape:
-            cfg.n_list = [_int(v, "shape.n_list", 1) for v in shape["n_list"]]
+        cfg.n_list = [_int(v, "shape.n_list", 1) for v in shape.get("n_list", [])]
 
-        if "beta" in raw:
-            cfg.betas = [_real(raw["beta"], "beta")]
-        elif "beta_grid" in raw:
+        if "beta_grid" in raw:
             g = raw["beta_grid"]
             if isinstance(g, list):
                 cfg.betas = _real(g, "beta_grid", 1).tolist()
@@ -182,8 +173,6 @@ class ExperimentConfig:
         for name in required + (("source",) if kind == "encode" and cfg.x is None else ()):
             if getattr(cfg, name) in (None, []):
                 raise ConfigError(f"{kind}: config field {name!r} is required")
-        if kind == "dprm-converge" and not cfg.n_list and cfg.n is None:
-            raise ConfigError("dprm-converge: need shape.n or shape.n_list")
         # finite differences and the bracketing of beta_c both read the grid in order
         if kind == "phase-scan" and len(cfg.betas) < 3:
             raise ConfigError("phase-scan: beta grid too small")
@@ -206,11 +195,10 @@ class Outputs:
 
 def run_dprm_converge(cfg: ExperimentConfig) -> Outputs:
     """Monte-Carlo free energy vs the closed-form limit, over an n sweep."""
-    ns = cfg.n_list or [cfg.n]
     limit = theory.FreeEnergyLimit.for_distribution(cfg.energy, cfg.d)
-    stats = monte_carlo_free_energy(cfg.d, ns, cfg.energy, cfg.betas, cfg.trials, cfg.master_seed)
+    stats = monte_carlo_free_energy(cfg.d, cfg.n_list, cfg.energy, cfg.betas, cfg.trials, cfg.master_seed)
     rows = []
-    for r, n in enumerate(ns):
+    for r, n in enumerate(cfg.n_list):
         for c, beta in enumerate(cfg.betas):
             cell = stats.cell(r, c)
             flim = limit.f(beta)
@@ -218,7 +206,7 @@ def run_dprm_converge(cfg: ExperimentConfig) -> Outputs:
     return Outputs({
         "master_seed": cfg.master_seed,
         "d": cfg.d,
-        "n_list": ns,
+        "n_list": cfg.n_list,
         "betas": cfg.betas,
         "trials": cfg.trials,
     }, {"dprm_converge.csv": (["n", "beta", "mean_f_n", "std", "f_limit", "gap"], rows)})
@@ -332,7 +320,7 @@ def run_verify_theorem(cfg: ExperimentConfig) -> Outputs:
     report = rd.verify_d0_equals_d(cfg.source, cfg.distortion, cfg.d)
     rows = []
     if report.applicable:
-        for n in (cfg.n_list or ([cfg.n] if cfg.n else [])):
+        for n in cfg.n_list:
             stats = treecode.simulate_ensemble(
                 cfg.source, report.point.Q_star, cfg.distortion,
                 cfg.d, n, cfg.trials, cfg.master_seed,
@@ -358,18 +346,17 @@ def run_verify_theorem(cfg: ExperimentConfig) -> Outputs:
         exit_code=EXIT_OK if report.applicable else EXIT_NOT_APPLICABLE)
 
 
-RUNNERS = {
-    "dprm-converge": run_dprm_converge,
-    "phase-scan": run_phase_scan,
-    "encode": run_encode,
-    "decode": run_decode,
-    "rd-curve": run_rd_curve,
-    "verify-theorem": run_verify_theorem,
-    "ensemble": run_ensemble,
+# one row per kind: its runner, its required fields and its optional ones, besides kind and master_seed
+_KINDS = {
+    "dprm-converge": (run_dprm_converge, ("energy", "d", "n_list", "betas"), ("trials",)),
+    "phase-scan": (run_phase_scan, ("energy", "d", "betas"), ()),
+    "encode": (run_encode, ("coding", "distortion", "d", "n"), ("source", "x", "beam_width", "bitstream")),
+    "decode": (run_decode, ("coding", "bitstream"), ()),
+    "rd-curve": (run_rd_curve, ("source", "distortion", "betas"), ()),
+    "verify-theorem": (run_verify_theorem, ("source", "distortion", "d"), ("n_list", "trials", "fixed_sequence")),
+    "ensemble": (run_ensemble, ("source", "coding", "distortion", "d", "n"), ("trials", "fixed_sequence")),
 }
-
-
-EXPERIMENT_KINDS = tuple(RUNNERS)
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -386,7 +373,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     writes, and only after the run returns, so a failed run writes nothing."""
     out = out_dir or "."
     # a relative bitstream lives under out, so encode and decode name the same file; an absolute one is kept
-    outputs = RUNNERS[cfg.kind](replace(cfg, bitstream=os.path.join(out, cfg.bitstream or "encoded.bin")))
+    outputs = _KINDS[cfg.kind][0](replace(cfg, bitstream=os.path.join(out, cfg.bitstream or "encoded.bin")))
     os.makedirs(out, exist_ok=True)
     for name, (header, rows) in outputs.tables.items():
         _write_csv(os.path.join(out, name), header, rows)
