@@ -22,7 +22,7 @@ from .model import (
     SymmetryError,
     symmetric_energy_law,
 )
-from .rd import RDPoint, TheoremReport, blahut_arimoto, verify_d0_equals_d
+from .rd import RDPoint, TheoremReport, blahut_arimoto, blahut_arimoto_curve, verify_d0_equals_d
 from .theory import FreeEnergyLimit, beta_c, f_limit, phi
 from .treecode import (
     Bitstream,

@@ -282,7 +282,7 @@ def run_decode(cfg: ExperimentConfig) -> Outputs:
 
 
 def run_rd_curve(cfg: ExperimentConfig) -> Outputs:
-    points = [rd.blahut_arimoto(cfg.source, cfg.distortion, b) for b in cfg.betas]
+    points = rd.blahut_arimoto_curve(cfg.source, cfg.distortion, cfg.betas)
     return Outputs({
         "betas": cfg.betas,
         "points": len(points),

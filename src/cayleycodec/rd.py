@@ -37,61 +37,77 @@ class RDPoint:
     converged: bool
 
 
-def blahut_arimoto(P: SourceModel, rho: DistortionMatrix, beta: float) -> RDPoint:
-    """One point of the rate-distortion curve at Lagrangian slope beta.
+def blahut_arimoto_curve(P: SourceModel, rho: DistortionMatrix, betas) -> list[RDPoint]:
+    """The rate-distortion curve at the Lagrangian slopes betas, one point
+    per slope in the given order.
 
-    Alternates the test-channel and output-marginal updates from the uniform
-    initial marginal until BA_TOL or BA_MAX_ITER stops it.  Non-convergence
-    is reported via the flag, not an exception.
+    Every positive slope alternates the test-channel and output-marginal
+    updates from the uniform initial marginal; all slopes run in lock-step as
+    the rows of (B, |X|, |Y|) arrays, and each row stops at its own first
+    update that moves the marginal by less than BA_TOL in total variation, or
+    at BA_MAX_ITER.  Non-convergence is reported via the flag, not an
+    exception.  Source letters of probability 0 add exactly 0 to every sum, so
+    they are left out; their rows would otherwise turn 0/0 at large beta.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    betas = [float(b) for b in betas]
+    if not all(0 <= b < math.inf for b in betas):
+        raise ValueError("beta must be finite and >= 0")
     if P.alphabet_size != rho.rows:
         raise ValueError("source and distortion matrix disagree on |X|")
-    p = P.probs
-    if beta == 0.0:
-        # rate-zero endpoint: reproduce with the single best letter
-        exp_d = p @ rho.values
-        y = int(np.argmin(exp_d))
-        q0 = np.zeros(rho.cols)
-        q0[y] = 1.0
-        return RDPoint(
-            beta=0.0,
-            R=0.0,
-            D=float(exp_d[y]),
-            Q_star=CodingDistribution(q0),
-            iterations=0,
-            converged=True,
-        )
+    p, dist = P.probs[P.probs > 0], rho.values[P.probs > 0]
     # shifting each row by its minimum cancels in the row normalization and
     # keeps exp from underflowing to an all-zero row at large beta
-    expm = np.exp(-beta * (rho.values - rho.values.min(axis=1, keepdims=True)))  # (|X|, |Y|)
-    q = np.full(rho.cols, 1.0 / rho.cols)
-    converged = False
-    it = 0
-    for it in range(1, BA_MAX_ITER + 1):
-        w = expm * q  # unnormalized test channel
+    grid = np.array(betas)
+    expm = np.exp(-grid[:, None, None] * (dist - dist.min(axis=1, keepdims=True)))  # (B, |X|, |Y|)
+    uniform = np.full(rho.cols, 1.0 / rho.cols)
+    stops = [(uniform, 0, False)] * len(betas)  # per slope: final marginal, updates, converged
+    live = np.flatnonzero(grid > 0)
+    q, done = np.tile(uniform, (live.size, 1)), 0
+    while live.size and done < BA_MAX_ITER:
+        # total variation is checked once per block of updates, from the kept
+        # marginals; blocks start short so a slope that converges at once
+        # pays for few extra updates
+        block = min(32, max(done, 1), BA_MAX_ITER - done)
+        hist = np.empty((block + 1,) + q.shape)
+        hist[0] = q
+        e, w = expm[live], np.empty((live.size,) + dist.shape)
+        s = np.empty(w.shape[:2] + (1,))
+        for k in range(block):
+            np.multiply(e, hist[k, :, None], out=w)  # unnormalized test channel
+            np.add.reduce(w, axis=2, keepdims=True, out=s)
+            np.divide(w, s, out=w)
+            np.matmul(p, w, out=hist[k + 1])
+        hit = 0.5 * np.abs(hist[1:] - hist[:-1]).sum(axis=2) < BA_TOL  # (block, live)
+        met = hit.any(axis=0)
+        first = np.where(met, hit.argmax(axis=0), block - 1)
+        done += block
+        stop = met | (done == BA_MAX_ITER)
+        for j in np.flatnonzero(stop):
+            stops[live[j]] = hist[first[j] + 1, j], done - block + int(first[j]) + 1, bool(met[j])
+        live, q = live[~stop], hist[block, ~stop]
+    points = []
+    for beta, e, (q, it, converged) in zip(betas, expm, stops):
+        if beta == 0.0:
+            # rate-zero endpoint: reproduce with the single best letter
+            exp_d = p @ dist
+            y = int(np.argmin(exp_d))
+            q0 = np.zeros(rho.cols)
+            q0[y] = 1.0
+            points.append(RDPoint(0.0, 0.0, float(exp_d[y]), CodingDistribution(q0), 0, True))
+            continue
+        w = e * q
         w /= w.sum(axis=1, keepdims=True)
-        q_new = p @ w
-        tv = 0.5 * np.abs(q_new - q).sum()
-        q = q_new
-        if tv < BA_TOL:
-            converged = True
-            break
-    w = expm * q
-    w /= w.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(w > 0, w / q, 1.0)
-        rate = float((p[:, None] * w * np.log(ratio)).sum())
-    distortion = float((p[:, None] * w * rho.values).sum())
-    return RDPoint(
-        beta=float(beta),
-        R=max(rate, 0.0),
-        D=distortion,
-        Q_star=CodingDistribution(q),
-        iterations=it,
-        converged=converged,
-    )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(w > 0, w / q, 1.0)
+            rate = float((p[:, None] * w * np.log(ratio)).sum())
+        distortion = float((p[:, None] * w * dist).sum())
+        points.append(RDPoint(beta, max(rate, 0.0), distortion, CodingDistribution(q), it, converged))
+    return points
+
+
+def blahut_arimoto(P: SourceModel, rho: DistortionMatrix, beta: float) -> RDPoint:
+    """One point of the rate-distortion curve at Lagrangian slope beta."""
+    return blahut_arimoto_curve(P, rho, [beta])[0]
 
 
 @dataclass(frozen=True)

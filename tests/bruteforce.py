@@ -1,10 +1,14 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here enumerates all d^n walks explicitly; nothing is shared with
-the tree sweeps under test, not even the log-sum-exp primitive.
+The walk oracles enumerate all d^n walks explicitly; nothing is shared with
+the tree sweeps under test, not even the log-sum-exp primitive.  The two
+one-case-at-a-time loops, beam_pass and blahut_arimoto_loop, are the
+references for the batched engines.
 """
 
 import numpy as np
+
+from cayleycodec import rd
 
 
 def logsumexp(a):
@@ -74,3 +78,36 @@ def beam_pass(code, x, rho, M):
         order = np.lexsort((cand, dist))[:M]
         surv_idx, surv_dist = cand[order], dist[order]
     return int(surv_idx[0]), float(surv_dist[0])
+
+
+def blahut_arimoto_loop(P, rho, beta):
+    """One Blahut-Arimoto slope as a scalar loop that checks total variation
+    after every update; the reference the lock-step curve engine must match
+    bit for bit."""
+    p = P.probs
+    if beta == 0.0:
+        exp_d = p @ rho.values
+        y = int(np.argmin(exp_d))
+        q0 = np.zeros(rho.cols)
+        q0[y] = 1.0
+        return rd.RDPoint(0.0, 0.0, float(exp_d[y]), rd.CodingDistribution(q0), 0, True)
+    expm = np.exp(-beta * (rho.values - rho.values.min(axis=1, keepdims=True)))
+    q = np.full(rho.cols, 1.0 / rho.cols)
+    converged = False
+    it = 0
+    for it in range(1, rd.BA_MAX_ITER + 1):
+        w = expm * q
+        w /= w.sum(axis=1, keepdims=True)
+        q_new = p @ w
+        tv = 0.5 * np.abs(q_new - q).sum()
+        q = q_new
+        if tv < rd.BA_TOL:
+            converged = True
+            break
+    w = expm * q
+    w /= w.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(w > 0, w / q, 1.0)
+        rate = float((p[:, None] * w * np.log(ratio)).sum())
+    distortion = float((p[:, None] * w * rho.values).sum())
+    return rd.RDPoint(float(beta), max(rate, 0.0), distortion, rd.CodingDistribution(q), it, converged)

@@ -393,6 +393,21 @@ def test_verify_theorem_not_applicable(tmp_path):
     assert summary["verdict"] == "NOT-APPLICABLE"
 
 
+def test_cli_zero_probability_source_letter_stays_finite(tmp_path):
+    # the bisection climbs to BETA_MAX, where the absent letter's test-channel row used to turn 0/0
+    models = {"source": {"probs": [1, 0]}, "distortion": {"hamming": 2}}
+    curve = write_config(tmp_path, {"kind": "rd-curve", "master_seed": 1, "models": models,
+                                    "beta_grid": [1, 1e4]}, "curve.json")
+    assert main(["rd-curve", "--config", curve, "--out", str(tmp_path / "curve")]) == EXIT_OK
+    rows = (tmp_path / "curve" / "rd_curve.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 2 and all(math.isfinite(float(c)) for row in rows for c in row.split(","))
+    verify = write_config(tmp_path, {"kind": "verify-theorem", "master_seed": 1, "models": models,
+                                     "shape": {"d": 2, "n_list": [4]}, "trials": 2}, "verify.json")
+    assert main(["verify-theorem", "--config", verify, "--out", str(tmp_path / "verify")]) == EXIT_NOT_APPLICABLE
+    summary = json.loads((tmp_path / "verify" / "verify_theorem_summary.json").read_text())
+    assert summary["degenerate"] and summary["d_of_r"] == 0.0 and summary["q_star"] == [1.0, 0.0]
+
+
 @pytest.mark.parametrize("delta, code, verdict", [
     (1e-9, EXIT_OK, "PASS"),
     (1e-8, EXIT_OK, "PASS"),

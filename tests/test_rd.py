@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from bruteforce import blahut_arimoto_loop
 
 from cayleycodec import (
     CodingDistribution,
@@ -10,11 +11,16 @@ from cayleycodec import (
     SourceModel,
     SymmetryError,
     blahut_arimoto,
+    blahut_arimoto_curve,
     symmetric_energy_law,
     verify_d0_equals_d,
 )
 from cayleycodec import rd
 from cayleycodec.harness import ExperimentConfig, run_experiment
+from cayleycodec.theory import BETA_MAX
+
+# the rd-theorem workload's NOT-APPLICABLE pair; its curve does not converge at beta = 1.1
+ASYMMETRIC = (SourceModel([0.5, 0.3, 0.2]), DistortionMatrix.hamming(3))
 
 
 def rd_point_parametric(
@@ -102,6 +108,63 @@ def test_ba_validation_and_convergence_flag(monkeypatch):
     monkeypatch.setattr(rd, "BA_TOL", 1e-300)
     pt = blahut_arimoto(SourceModel([0.8, 0.2]), rho, 1.0)
     assert not pt.converged
+
+
+def assert_same_point(got, want):
+    assert (got.beta, got.R, got.D, got.iterations, got.converged) == (
+        want.beta, want.R, want.D, want.iterations, want.converged)
+    assert np.array_equal(got.Q_star.probs, want.Q_star.probs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ba_curve_matches_scalar_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for case in range(8):
+        nx, ny = (int(k) for k in rng.integers(2, 6, size=2))
+        P = SourceModel(rng.dirichlet(np.ones(nx)))
+        # integer distortions tie letters, real ones do not
+        rho = DistortionMatrix(rng.integers(0, 4, (nx, ny)) if case % 2 else 3 * rng.random((nx, ny)))
+        betas = [0.0, BETA_MAX, *np.exp(rng.uniform(-3.0, 5.0, size=6))]
+        rng.shuffle(betas)
+        for got, beta in zip(blahut_arimoto_curve(P, rho, betas), betas, strict=True):
+            assert_same_point(got, blahut_arimoto_loop(P, rho, beta))
+
+
+def test_ba_curve_matches_scalar_loop_where_it_does_not_converge():
+    P, rho = ASYMMETRIC
+    betas = [1.2, 1.1, 0.1]
+    points = blahut_arimoto_curve(P, rho, betas)
+    assert not points[1].converged and points[1].iterations == rd.BA_MAX_ITER
+    for got, beta in zip(points, betas, strict=True):
+        assert_same_point(got, blahut_arimoto_loop(P, rho, beta))
+
+
+@pytest.mark.parametrize("max_iter", [1, 45])  # 45 ends the blocks 1, 1, 2, 4, 8, 16 with a short one
+def test_ba_curve_matches_scalar_loop_at_a_short_iteration_cap(monkeypatch, max_iter):
+    monkeypatch.setattr(rd, "BA_MAX_ITER", max_iter)
+    P, rho = ASYMMETRIC
+    betas = [round(0.3 * k, 10) for k in range(11)] + [BETA_MAX]
+    points = blahut_arimoto_curve(P, rho, betas)
+    assert {p.converged for p in points} == {True, False}
+    for got, beta in zip(points, betas, strict=True):
+        assert_same_point(got, blahut_arimoto_loop(P, rho, beta))
+
+
+def test_ba_leaves_out_a_zero_probability_source_letter():
+    # its row of the test channel would be 0/0 once its best letter's q underflows
+    rho = DistortionMatrix.hamming(3)
+    for beta in (0.0, 1.0, 800.0, BETA_MAX):
+        got = blahut_arimoto(SourceModel([0.9, 0.1, 0.0]), rho, beta)
+        assert_same_point(got, blahut_arimoto_loop(SourceModel([0.9, 0.1]), DistortionMatrix(rho.values[:2]), beta))
+
+
+@pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+def test_ba_rejects_negative_and_non_finite_beta(beta):
+    P, rho = ASYMMETRIC
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        blahut_arimoto(P, rho, beta)
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        blahut_arimoto_curve(P, rho, [1.0, beta])
 
 
 def test_parametric_small_beta_limit():
@@ -237,3 +300,21 @@ def test_export_curve_csv(tmp_path):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert float(first[2]) == pytest.approx(float(first[1]) / math.log(2), rel=1e-9)
+
+
+@pytest.mark.parametrize("grid", [
+    [2.0, 0.5, 1.1, 0.1],  # unsorted, with the unconverged slope
+    [1.0, 0.5, 1.0, 0.5],  # duplicates
+    [0.5, 0.0, 2.0, 0.0, 0.1],  # the rate-zero end among positive slopes
+])
+def test_rd_curve_rows_follow_the_grid(tmp_path, grid):
+    cfg = ExperimentConfig.from_dict({
+        "kind": "rd-curve",
+        "master_seed": 1,
+        "models": {"source": {"probs": [0.5, 0.3, 0.2]}, "distortion": {"hamming": 3}},
+        "beta_grid": grid,
+    })
+    run_experiment(cfg, str(tmp_path))
+    rows = (tmp_path / "rd_curve.csv").read_text().strip().splitlines()[1:]
+    want = [blahut_arimoto(*ASYMMETRIC, b) for b in grid]
+    assert rows == [f"{p.beta:.12g},{p.R:.12g},{p.R / math.log(2):.12g},{p.D:.12g},{int(p.converged)}" for p in want]
