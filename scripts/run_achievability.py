@@ -1,26 +1,20 @@
 #!/usr/bin/env python3
 """Distortion of random tree codes versus the distortion-rate target.
 
-For a uniform source with Hamming distortion, runs the exact encoder over
-independent code draws at increasing block lengths and plots the mean
-per-symbol distortion approaching D(R) from above.  Companion script;
-tests/test_scripts.py runs it once with tiny arguments.
+For a uniform source with Hamming distortion, runs the verify-theorem
+experiment, whose exact encoder runs over independent code draws at
+increasing block lengths, and plots the mean per-symbol distortion
+approaching D(R) from above.  Companion script; tests/test_scripts.py runs it
+once with tiny arguments.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
 
-import numpy as np
-
-from cayleycodec import (
-    CodingDistribution,
-    DistortionMatrix,
-    SourceModel,
-    simulate_ensemble,
-    verify_d0_equals_d,
-)
+from cayleycodec.harness import ExperimentConfig, run_experiment
 
 
 def main(argv=None):
@@ -34,23 +28,17 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     A = args.alphabet
-    P = SourceModel(np.full(A, 1.0 / A))
-    Q = CodingDistribution(np.full(A, 1.0 / A))
-    rho = DistortionMatrix.hamming(A)
-    target = verify_d0_equals_d(P, rho, args.d).d_of_r
-    print(f"D(R) target at R = ln {args.d}: {target:.6f}")
-
-    rows = []
-    for n in args.n:
-        stats = simulate_ensemble(P, Q, rho, args.d, n, args.trials, args.seed,
-                                  fixed_sequence=True)
-        rows.append({"n": n, "mean": stats.mean, "std": stats.std,
-                     "gap": stats.mean - target})
-        print(f"n={n:3d}  mean={stats.mean:.5f}  gap={stats.mean - target:+.5f}")
-
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "achievability.json"), "w") as fh:
-        json.dump({"target": target, "rows": rows}, fh, indent=2)
+    cfg = ExperimentConfig.from_dict({
+        "kind": "verify-theorem",
+        "master_seed": args.seed,
+        "models": {"source": {"probs": [1.0 / A] * A}, "distortion": {"hamming": A}},
+        "shape": {"d": args.d, "n_list": args.n},
+        "trials": args.trials,
+        "fixed_sequence": True,
+    })
+    code = run_experiment(cfg, args.out)
+    summary = json.load(open(os.path.join(args.out, "verify_theorem_summary.json")))
+    print(json.dumps(summary, indent=2))
 
     try:
         import matplotlib
@@ -59,14 +47,16 @@ def main(argv=None):
         import matplotlib.pyplot as plt
     except ImportError:
         print("matplotlib not available, skipping the figure", file=sys.stderr)
-        return 0
+        return code
 
-    ns = [r["n"] for r in rows]
-    means = [r["mean"] for r in rows]
-    errs = [r["std"] / max(args.trials, 1) ** 0.5 for r in rows]
+    with open(os.path.join(args.out, "verify_theorem.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    ns = [int(r["n"]) for r in rows]
+    means = [float(r["mean_distortion"]) for r in rows]
+    errs = [float(r["std"]) / args.trials ** 0.5 for r in rows]
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.errorbar(ns, means, yerr=errs, fmt="o-", capsize=3, label="ensemble mean")
-    ax.axhline(target, color="k", ls="--", lw=0.8, label="D(R)")
+    ax.axhline(summary["d_of_r"], color="k", ls="--", lw=0.8, label="D(R)")
     ax.set_xlabel("block length n")
     ax.set_ylabel("per-symbol distortion")
     ax.legend()
@@ -74,7 +64,7 @@ def main(argv=None):
     path = os.path.join(args.out, "achievability.png")
     fig.savefig(path, dpi=150)
     print(f"wrote {path}")
-    return 0
+    return code
 
 
 if __name__ == "__main__":

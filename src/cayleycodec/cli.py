@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands mirror the experiment kinds; every run is driven by a JSON
+The first argument names the experiment kind; every run is driven by a JSON
 config plus a few overriding flags.  Exit codes: 0 on pass/completion,
 2 when a theorem check is NOT-APPLICABLE, 1 on error.
 """
@@ -24,12 +24,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cayleycodec",
         description="Tree free-energy numerics and random tree-code experiments",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in EXPERIMENT_KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} experiment")
-        p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("kind", choices=EXPERIMENT_KINDS, help="experiment kind; must match the config's")
+    parser.add_argument("--config", required=True, help="JSON experiment config")
+    parser.add_argument("--seed", type=int, default=None, help="override master seed")
+    parser.add_argument("--out", default=None, help="output directory")
     return parser
 
 
@@ -43,9 +41,7 @@ def main(argv=None) -> int:
             raw["master_seed"] = args.seed
         cfg = ExperimentConfig.from_dict(raw)
         if cfg.kind != args.kind:
-            print(f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}",
-                  file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"config kind {cfg.kind!r} does not match the kind argument {args.kind!r}")
         return run_experiment(cfg, args.out)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)

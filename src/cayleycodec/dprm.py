@@ -120,7 +120,7 @@ def tree_sweep(energy_fn: Callable[[int], np.ndarray], shape: TreeShape, betas=(
     for i in range(1, shape.n + 1):
         path = (path[:, None] + energy_fn(i).reshape(-1, shape.d)).ravel()
         rows = [r for r, k in enumerate(levels) if k == i]
-        if not rows:
+        if not rows or not betas.size:
             continue
         p_min = path.min()
         excess = path - p_min

@@ -21,6 +21,8 @@ VALUE_MERGE_TOL = 1e-9
 # Blahut-Arimoto Q* is symmetric only to its convergence accuracy, and D0
 # moves continuously with Q, so a near-symmetric Q* must pass here.
 SYMMETRY_TOL = 1e-6
+# Cells in one block of a batched engine's arrays (beam, Blahut-Arimoto); read at call time
+BLOCK_CELLS = 1 << 20
 
 
 class SymmetryError(ValueError):

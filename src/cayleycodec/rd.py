@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .model import (
     CodingDistribution, DistortionMatrix, SourceModel, SymmetryError, symmetric_energy_law
 )
@@ -42,18 +43,22 @@ def blahut_arimoto_curve(P: SourceModel, rho: DistortionMatrix, betas) -> list[R
     per slope in the given order.
 
     Every positive slope alternates the test-channel and output-marginal
-    updates from the uniform initial marginal; all slopes run in lock-step as
-    the rows of (B, |X|, |Y|) arrays, and each row stops at its own first
-    update that moves the marginal by less than BA_TOL in total variation, or
-    at BA_MAX_ITER.  Non-convergence is reported via the flag, not an
-    exception.  Source letters of probability 0 add exactly 0 to every sum, so
-    they are left out; their rows would otherwise turn 0/0 at large beta.
+    updates from the uniform initial marginal; the slopes run in lock-step as
+    the rows of (B, |X|, |Y|) arrays, in slices of at most model.BLOCK_CELLS
+    cells, and each row stops at its own first update that moves the
+    marginal by less than BA_TOL in total variation, or at BA_MAX_ITER.
+    Non-convergence is reported via the flag, not an exception.  Source
+    letters of probability 0 add exactly 0 to every sum, so they are left
+    out; their rows would otherwise turn 0/0 at large beta.
     """
     betas = [float(b) for b in betas]
     if not all(0 <= b < math.inf for b in betas):
         raise ValueError("beta must be finite and >= 0")
     if P.alphabet_size != rho.rows:
         raise ValueError("source and distortion matrix disagree on |X|")
+    step = max(1, model.BLOCK_CELLS // rho.values.size)
+    if len(betas) > step:  # rows are independent, so slicing the grid changes no bit
+        return [pt for lo in range(0, len(betas), step) for pt in blahut_arimoto_curve(P, rho, betas[lo:lo + step])]
     p, dist = P.probs[P.probs > 0], rho.values[P.probs > 0]
     # shifting each row by its minimum cancels in the row normalization and
     # keeps exp from underflowing to an all-zero row at large beta
@@ -83,7 +88,7 @@ def blahut_arimoto_curve(P: SourceModel, rho: DistortionMatrix, betas) -> list[R
         done += block
         stop = met | (done == BA_MAX_ITER)
         for j in np.flatnonzero(stop):
-            stops[live[j]] = hist[first[j] + 1, j], done - block + int(first[j]) + 1, bool(met[j])
+            stops[live[j]] = hist[first[j] + 1, j].copy(), done - block + int(first[j]) + 1, bool(met[j])
         live, q = live[~stop], hist[block, ~stop]
     points = []
     for beta, e, (q, it, converged) in zip(betas, expm, stops):

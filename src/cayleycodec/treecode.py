@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .dprm import MonteCarloStats, TreeShape, run_trials, tree_sweep, validate_walk, walk_from_leaf
 from .model import CodingDistribution, DistortionMatrix, SourceModel
 from .rng import CODEBOOK_STREAM, SOURCE_STREAM, uniforms
@@ -51,13 +52,16 @@ class TreeCode:
 
 @dataclass(frozen=True)
 class EncodingResult:
+    """The winning walk and its distortion, the left-to-right sum
+    (rho(x_1, y_1) + rho(x_2, y_2)) + ... that the encoder's sweep minimised,
+    so totals rank walks exactly as the encoder did."""
+
     walk: np.ndarray
     total_distortion: float
-    per_symbol: np.ndarray
 
     @property
     def per_symbol_mean(self) -> float:
-        return float(self.per_symbol.mean())
+        return self.total_distortion / self.walk.size
 
 
 def _check_source_tuple(code: TreeCode, x, rho: DistortionMatrix) -> np.ndarray:
@@ -71,11 +75,6 @@ def _check_source_tuple(code: TreeCode, x, rho: DistortionMatrix) -> np.ndarray:
     return x
 
 
-def _result_from_walk(code: TreeCode, x: np.ndarray, rho: DistortionMatrix, walk: np.ndarray) -> EncodingResult:
-    per = rho.values[x, code._symbols_at(np.arange(1, code.shape.n + 1), walk)]
-    return EncodingResult(walk=walk, total_distortion=float(per.sum()), per_symbol=per)
-
-
 def encode_exact(code: TreeCode, x, rho: DistortionMatrix) -> EncodingResult:
     """Globally minimum-distortion walk (ties: lexicographically smallest).
 
@@ -83,12 +82,8 @@ def encode_exact(code: TreeCode, x, rho: DistortionMatrix) -> EncodingResult:
     identification is exact, including the tie-break rule.
     """
     x = _check_source_tuple(code, x, rho)
-    walk = tree_sweep(lambda t: rho.values[x[t - 1]][code.generation_symbols(t)], code.shape).walk
-    return _result_from_walk(code, x, rho, walk)
-
-
-# Cap on one block's (rows x width*d) sweep arrays; a block has at least one row.
-_BEAM_CELLS = 1 << 20
+    sweep = tree_sweep(lambda t: rho.values[x[t - 1]][code.generation_symbols(t)], code.shape)
+    return EncodingResult(sweep.walk, sweep.min_energy)
 
 
 def _beam_sweep(code: TreeCode, x: np.ndarray, rho: DistortionMatrix, widths: np.ndarray) -> tuple[list, list]:
@@ -117,20 +112,20 @@ def encode_beam(code: TreeCode, x, rho: DistortionMatrix, M: int) -> EncodingRes
     A single fixed-width sweep is not monotone in M (a wider beam can evict
     the narrow beam's eventual winner), so the result is the least
     (distortion, leaf) pair over sweeps of every width 1..M, compared exactly
-    as the sweeps rank paths; distortion is nonincreasing in M by
-    construction.  All widths run as rows of one batched sweep, in blocks of
-    at most _BEAM_CELLS sort cells to cap memory.  Distortion is >= the exact
-    encoder's; equal once M >= d^(n-1), where the widest sweep is exhaustive.
+    as the sweeps rank paths; total_distortion is that pair's left-to-right
+    sum, nonincreasing in M by construction.  All widths run as rows of one
+    batched sweep, in blocks of at most model.BLOCK_CELLS sort cells to cap
+    memory.  Distortion is >= the exact encoder's; equal once M >= d^(n-1),
+    where the widest sweep is exhaustive.
     """
     if M < 1:
         raise ValueError("beam width M must be >= 1")
     x = _check_source_tuple(code, x, rho)
     W = min(M, code.shape.d ** (code.shape.n - 1))
-    rows = max(1, _BEAM_CELLS // (W * code.shape.d))
-    _, best_leaf = min((dist, leaf) for lo in range(1, W + 1, rows)
-                       for leaf, dist in zip(*_beam_sweep(code, x, rho, np.arange(lo, min(lo + rows, W + 1)))))
-    walk = walk_from_leaf(best_leaf, code.shape)
-    return _result_from_walk(code, x, rho, walk)
+    rows = max(1, model.BLOCK_CELLS // (W * code.shape.d))  # a block has at least one row
+    dist, leaf = min((dist, leaf) for lo in range(1, W + 1, rows)
+                     for leaf, dist in zip(*_beam_sweep(code, x, rho, np.arange(lo, min(lo + rows, W + 1)))))
+    return EncodingResult(walk_from_leaf(leaf, code.shape), dist)
 
 
 # ---------------------------------------------------------------------------

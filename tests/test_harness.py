@@ -456,7 +456,7 @@ def test_ensemble_runner(tmp_path):
 def test_cli_error_paths(tmp_path, capsys):
     assert main(["dprm-converge", "--config", str(tmp_path / "missing.json")]) == 1
     cfg = write_config(tmp_path, converge_config())
-    # subcommand/config kind mismatch
+    # kind argument/config kind mismatch
     assert main(["phase-scan", "--config", cfg]) == 1
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from cayleycodec import (
     symmetric_energy_law,
     verify_d0_equals_d,
 )
-from cayleycodec import rd
+from cayleycodec import model, rd
 from cayleycodec.harness import ExperimentConfig, run_experiment
 from cayleycodec.theory import BETA_MAX
 
@@ -148,6 +149,35 @@ def test_ba_curve_matches_scalar_loop_at_a_short_iteration_cap(monkeypatch, max_
     assert {p.converged for p in points} == {True, False}
     for got, beta in zip(points, betas, strict=True):
         assert_same_point(got, blahut_arimoto_loop(P, rho, beta))
+
+
+@pytest.mark.parametrize("slopes", [1, 3, 7])
+def test_ba_curve_slices_change_no_bit(monkeypatch, slopes):
+    rng = np.random.default_rng(slopes)
+    for case in range(4):
+        nx, ny = (int(k) for k in rng.integers(2, 6, size=2))
+        P = SourceModel(rng.dirichlet(np.ones(nx)))
+        rho = DistortionMatrix(rng.integers(0, 4, (nx, ny)) if case % 2 else 3 * rng.random((nx, ny)))
+        betas = [0.0, BETA_MAX, *np.exp(rng.uniform(-3.0, 5.0, size=37))]
+        rng.shuffle(betas)
+        whole = blahut_arimoto_curve(P, rho, betas)
+        with monkeypatch.context() as m:
+            m.setattr(model, "BLOCK_CELLS", slopes * nx * ny)
+            for got, want in zip(blahut_arimoto_curve(P, rho, betas), whole, strict=True):
+                assert_same_point(got, want)
+
+
+def test_ba_curve_memory_follows_the_cell_cap(monkeypatch):
+    P, rho = SourceModel([1 / 30] * 30), DistortionMatrix.hamming(30)
+    peaks = []
+    for slopes, cap in ((64, model.BLOCK_CELLS), (512, 8 * rho.values.size)):
+        monkeypatch.setattr(model, "BLOCK_CELLS", cap)
+        tracemalloc.start()
+        blahut_arimoto_curve(P, rho, np.linspace(0.5, 20.0, slopes))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # 8-slope slices of a 512-slope grid peak below one 64-slope slice
+    assert peaks[1] < peaks[0]
 
 
 def test_ba_leaves_out_a_zero_probability_source_letter():

@@ -30,7 +30,7 @@ from cayleycodec import (
     walk_from_leaf,
     write_bitstream,
 )
-from cayleycodec import treecode
+from cayleycodec import model, treecode
 from cayleycodec.dprm import tree_sweep
 from cayleycodec.harness import ExperimentConfig, run_experiment
 
@@ -134,11 +134,54 @@ def test_encode_exact_validates_input():
         encode_exact(code, [0, 1, 9], HAMMING4)
 
 
+def left_to_right_total(code, x, rho, walk):
+    # np.sum adds pairwise and Python's sum() compensates; the sweeps add in order
+    return np.add.accumulate(rho.values[np.asarray(x), reproduction(code, walk)])[-1]
+
+
 def test_encode_result_total_is_sum_of_per_symbol():
     code = make_code(8, 2, 8)
     x = np.zeros(8, dtype=int)
     res = encode_exact(code, x, HAMMING4)
-    assert res.total_distortion == res.per_symbol.sum()
+    assert res.total_distortion == left_to_right_total(code, x, HAMMING4, res.walk)
+
+
+def test_encoders_report_the_sum_they_minimised():
+    # pairwise, the exact winner here sums to 5.200000000000001, above beam M = 2's 5.2
+    code = TreeCode(107, Q4, TreeShape(2, 12))
+    x = [0, 0, 3, 1, 1, 0, 0, 2, 0, 1, 0, 1]
+    rho = DistortionMatrix([[0.6, 0.7999999999999999, 0.7, 0.30000000000000004],
+                            [1.1, 0.9, 0.7999999999999999, 0.4],
+                            [0.30000000000000004, 0.2, 0.7, 0.30000000000000004],
+                            [0.5, 0.9, 0.7, 0.4]])
+    assert encode_exact(code, x, rho).total_distortion == 5.2
+    assert encode_beam(code, x, rho, 2).total_distortion == 5.2
+
+
+def test_wider_beam_does_not_report_more():
+    # pairwise, the M = 5 winner sums to 4.400000000000001, above M = 4's 4.4
+    code = TreeCode(231, Q4, TreeShape(2, 10))
+    x = [3, 1, 1, 2, 2, 2, 1, 2, 2, 1]
+    rho = DistortionMatrix([[1.0, 0.6, 0.5, 1.0], [0.7, 0.7, 0.4, 1.0], [1.1, 0.2, 0.4, 1.0],
+                            [0.30000000000000004, 0.7999999999999999, 0.7999999999999999, 0.7]])
+    assert [encode_beam(code, x, rho, M).total_distortion for M in (4, 5)] == [4.4, 4.4]
+
+
+@pytest.mark.parametrize("d, n", [(2, 10), (3, 8)])
+def test_totals_are_left_to_right_sums_on_decimal_distortions(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    for seed in range(40):
+        rho = DistortionMatrix(rng.integers(0, 12, (4, 4)) / 10)
+        code = make_code(seed, d, n)
+        x = rng.integers(0, 4, n)
+        exact = encode_exact(code, x, rho)
+        assert exact.total_distortion == left_to_right_total(code, x, rho, exact.walk)
+        prev = math.inf
+        for M in range(1, 9):
+            beam = encode_beam(code, x, rho, M)
+            assert beam.total_distortion == left_to_right_total(code, x, rho, beam.walk)
+            assert exact.total_distortion <= beam.total_distortion <= prev
+            prev = beam.total_distortion
 
 
 def test_encode_exact_not_worse_than_fixed_walk():
@@ -226,7 +269,7 @@ def test_beam_blocks_do_not_change_the_result(monkeypatch, d, n, M):
     x = (np.arange(n) * 7) % 4
     whole = encode_beam(code, x, HAMMING4, M)
     for cells in (1, 5 * M * d):  # one row per block; several rows per block
-        monkeypatch.setattr(treecode, "_BEAM_CELLS", cells)
+        monkeypatch.setattr(model, "BLOCK_CELLS", cells)
         split = encode_beam(code, x, HAMMING4, M)
         assert list(split.walk) == list(whole.walk)
         assert split.total_distortion == whole.total_distortion
@@ -237,7 +280,15 @@ def test_beam_draws_each_generation_once(monkeypatch):
     real = treecode.uniforms
     monkeypatch.setattr(treecode, "uniforms", lambda *keys: calls.append(keys) or real(*keys))
     encode_beam(make_code(8, 2, 48), np.arange(48) % 4, HAMMING4, 32)
-    assert len(calls) == 48 + 1  # one per generation, plus one to score the walk
+    assert len(calls) == 48  # one per generation, and none to score the walk
+
+
+def test_exact_draws_each_generation_once(monkeypatch):
+    calls = []
+    real = treecode.uniforms
+    monkeypatch.setattr(treecode, "uniforms", lambda *keys: calls.append(keys) or real(*keys))
+    encode_exact(make_code(8, 2, 10), np.arange(10) % 4, HAMMING4)
+    assert [keys[2] for keys in calls] == list(range(1, 11))  # generations 1..n, none after the sweep
 
 
 def test_pack_binary_example():
