@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 The first argument names the experiment kind; every run is driven by a JSON
-config plus a few overriding flags.  Exit codes: 0 on pass/completion,
-2 when a theorem check is NOT-APPLICABLE, 1 on error.
+config plus a few overriding flags.  Exit codes: 0 on pass/completion and
+after --help, 2 when a theorem check is NOT-APPLICABLE, 1 on any error,
+usage errors included.
 """
 
 from __future__ import annotations
@@ -11,15 +12,10 @@ import argparse
 import json
 import sys
 
-from .harness import (
-    EXIT_ERROR,
-    EXPERIMENT_KINDS,
-    ExperimentConfig,
-    run_experiment,
-)
+from .harness import EXIT_ERROR, EXIT_OK, EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 
 
-def build_parser() -> argparse.ArgumentParser:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cayleycodec",
         description="Tree free-energy numerics and random tree-code experiments",
@@ -28,11 +24,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
     parser.add_argument("--out", default=None, help="output directory")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which is EXIT_NOT_APPLICABLE's code
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         with open(args.config) as fh:
             raw = json.load(fh)

@@ -6,10 +6,18 @@ the walk minimizing the summed per-letter distortion, which is exactly the
 ground state of a directed polymer whose branch energies are
 rho(x_t, Y_branch).  The walk is shipped as its leaf index j_n, which fixes
 the whole path, and the decoder reads every letter off that one index.
+
+The exact encoder prunes trees of PRUNE_MIN_LEAVES leaves and more (smaller
+ones take the full tree_sweep, faster there): B is the total of one
+width-min(8, d^(n-1)) beam sweep, and a top-down sweep keeps, in leaf order,
+the children whose partial sum is <= B.  As rho >= 0 and adding a float >= 0
+never lowers a float sum, every minimising leaf keeps its ancestors <= B, so
+the first argmin left is the full sweep's walk and left-to-right total.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -23,6 +31,10 @@ from .rng import CODEBOOK_STREAM, SOURCE_STREAM, uniforms
 _MAGIC = b"CAYCODE1"
 _HEADER = struct.Struct(">8sIIQ")  # magic, d, n, master_seed: 24 bytes
 HEADER_SIZE = _HEADER.size
+# encode_exact sweeps a tree of fewer leaves whole: there the bound pass costs more than it prunes
+PRUNE_MIN_LEAVES = 1 << 14
+# paths one pruned generation may grow: half of physical memory at 128 bytes each (about 44 measured)
+MAX_CHILDREN = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 256
 
 
 @dataclass(frozen=True)
@@ -79,11 +91,24 @@ def encode_exact(code: TreeCode, x, rho: DistortionMatrix) -> EncodingResult:
     """Globally minimum-distortion walk (ties: lexicographically smallest).
 
     This is the ground state of the induced directed-polymer instance; the
-    identification is exact, including the tie-break rule.
+    identification is exact, including the tie-break rule.  Raises ValueError
+    before a pruned generation (module docstring) grows past MAX_CHILDREN paths.
     """
     x = _check_source_tuple(code, x, rho)
-    sweep = tree_sweep(lambda t: rho.values[x[t - 1]][code.generation_symbols(t)], code.shape)
-    return EncodingResult(sweep.walk, sweep.min_energy)
+    d, n = code.shape.d, code.shape.n
+    if code.shape.num_walks < PRUNE_MIN_LEAVES:
+        sweep = tree_sweep(lambda t: rho.values[x[t - 1]][code.generation_symbols(t)], code.shape)
+        return EncodingResult(sweep.walk, sweep.min_energy)
+    bound = _beam_sweep(code, x, rho, np.array([min(8, d ** (n - 1))]))[1][0]
+    idx, dist = np.zeros(1, dtype=np.uint64), np.zeros(1)  # survivors in leaf order, partial sums
+    for t in range(1, n + 1):
+        if idx.size * d > MAX_CHILDREN:
+            raise ValueError(f"exact encoder: {idx.size * d} paths at generation {t} exceed the memory budget; "
+                             "lower shape.n, or set beam_width to encode with the beam encoder")
+        idx = (d * idx[:, None] + np.arange(d, dtype=np.uint64)).ravel()
+        dist = np.repeat(dist, d) + rho.values[x[t - 1]][code._symbols_at(t, idx)]
+        idx, dist = idx[dist <= bound], dist[dist <= bound]
+    return EncodingResult(walk_from_leaf(int(idx[np.argmin(dist)]), code.shape), float(dist.min()))
 
 
 def _beam_sweep(code: TreeCode, x: np.ndarray, rho: DistortionMatrix, widths: np.ndarray) -> tuple[list, list]:

@@ -460,6 +460,18 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["phase-scan", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("argv", [["bogus", "--config", "x.json"], ["encode"], ["encode", "--config"]],
+                         ids=["unknown kind", "missing --config", "--config without a path"])
+def test_cli_usage_errors_exit_1_not_the_not_applicable_code(argv, capsys):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "experiment kind" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_cli_decode_rejects_huge_header_n_fast(tmp_path, d):
     path = tmp_path / "huge.bin"

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from bruteforce import beam_pass, code_energies, enumerate_ground_state
+from exact_laws import tree_minimum_moments, tree_minimum_pmf
 from cayleycodec import (
     Bitstream,
     CodingDistribution,
@@ -24,15 +26,19 @@ from cayleycodec import (
     pack,
     read_bitstream,
     reproduction,
+    run_trials,
     simulate_ensemble,
     symmetric_energy_law,
     unpack,
+    verify_d0_equals_d,
     walk_from_leaf,
     write_bitstream,
 )
 from cayleycodec import model, treecode
+from cayleycodec.cli import main
 from cayleycodec.dprm import tree_sweep
 from cayleycodec.harness import ExperimentConfig, run_experiment
+from cayleycodec.rng import SOURCE_STREAM, uniforms
 
 Q4 = CodingDistribution([0.25] * 4)
 HAMMING4 = DistortionMatrix.hamming(4)
@@ -291,6 +297,75 @@ def test_exact_draws_each_generation_once(monkeypatch):
     assert [keys[2] for keys in calls] == list(range(1, 11))  # generations 1..n, none after the sweep
 
 
+def full_sweep(code, x, rho):
+    """(walk, total) of one tree_sweep over all d^n leaves: the oracle for the pruned search."""
+    sweep = tree_sweep(lambda t: rho.values[x[t - 1]][code.generation_symbols(t)], code.shape)
+    return list(sweep.walk), sweep.min_energy
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (5, 3), (2, 8), (2, 14), (2, 15), (3, 9), (4, 7), (2, 16)])
+def test_pruned_exact_equals_full_sweep(monkeypatch, d, n):
+    monkeypatch.setattr(treecode, "PRUNE_MIN_LEAVES", 1)  # every tree takes the pruned path
+    rng = np.random.default_rng(100 * d + n)
+    for case in range(24):
+        k = int(rng.integers(2, 6))
+        rho = DistortionMatrix([
+            1.0 - np.eye(k),  # Hamming: integer ties
+            rng.integers(0, 12, (3, k)) / 10,  # decimals: ties that rounding breaks
+            rng.random((3, k)) * (rng.random((3, 1)) < 0.5),  # zero rows: every child ties its parent
+            rng.random((3, k)) * 10.0 ** rng.integers(-16, 3, (3, k)),  # wide range: sum orders disagree
+        ][case % 4])
+        code = TreeCode(int(rng.integers(2**32)), CodingDistribution(rng.dirichlet(np.ones(k))), TreeShape(d, n))
+        x = rng.integers(0, rho.rows, n)
+        res = encode_exact(code, x, rho)
+        assert (list(res.walk), res.total_distortion) == full_sweep(code, x, rho)
+
+
+def test_pruned_exact_keeps_the_left_to_right_total_and_the_tie_break(monkeypatch):
+    monkeypatch.setattr(treecode, "PRUNE_MIN_LEAVES", 1)
+    code, x = make_code(0, 2, 14), np.zeros(14, dtype=int)
+    rho = DistortionMatrix([[0.6, 0.7999999999999999, 0.7, 0.30000000000000004],
+                            [1.1, 0.9, 0.7999999999999999, 0.4],
+                            [0.30000000000000004, 0.2, 0.7, 0.30000000000000004],
+                            [0.5, 0.9, 0.7, 0.4]])
+    res = encode_exact(code, x, rho)
+    assert (list(res.walk), res.total_distortion) == full_sweep(code, x, rho)
+    # pairwise, the winner's letters sum to 5.699999999999999
+    assert res.total_distortion == 5.699999999999998 != np.sum(rho.values[x, reproduction(code, res.walk)])
+    zero = encode_exact(code, x, DistortionMatrix(np.zeros((4, 4))))
+    assert list(zero.walk) == [0] * 14 and zero.total_distortion == 0.0
+
+
+def test_pruned_exact_draws_a_sliver_of_the_tree(monkeypatch):
+    calls = []
+    real = treecode.uniforms
+    monkeypatch.setattr(treecode, "uniforms", lambda *keys: calls.append(keys) or real(*keys))
+    encode_exact(make_code(8, 2, 18), np.arange(18) % 4, HAMMING4)
+    # the bound's beam sweep, then the pruned search: each draws every generation once
+    assert [keys[2] for keys in calls] == list(range(1, 19)) * 2
+    assert sum(np.size(keys[3]) for keys in calls) < 2**13  # the full sweep draws 2^19 - 2
+
+
+def test_pruned_exact_refuses_past_the_path_budget(monkeypatch, tmp_path, capsys):
+    # all-zero distortions prune nothing, so generation 14 grows 2^14 paths
+    code, x, rho = make_code(1, 2, 14), np.zeros(14, dtype=int), DistortionMatrix(np.zeros((4, 4)))
+    monkeypatch.setattr(treecode, "MAX_CHILDREN", 2**14)
+    assert encode_exact(code, x, rho).total_distortion == 0.0
+    monkeypatch.setattr(treecode, "MAX_CHILDREN", 2**14 - 1)
+    with pytest.raises(ValueError, match="beam_width"):
+        encode_exact(code, x, rho)
+    raw = {"kind": "encode", "master_seed": 1, "shape": {"d": 2, "n": 14}, "x": [0] * 14,
+           "models": {"coding": {"probs": [0.25] * 4}, "distortion": {"hamming": 4}}}
+    cfg = tmp_path / "encode.json"
+    cfg.write_text(json.dumps(raw))
+    monkeypatch.setattr(treecode, "MAX_CHILDREN", 1)
+    assert main(["encode", "--config", str(cfg), "--out", str(tmp_path / "exact")]) == 1
+    err = capsys.readouterr().err
+    assert "shape.n" in err and "beam_width" in err and not (tmp_path / "exact").exists()
+    cfg.write_text(json.dumps({**raw, "beam_width": 8}))
+    assert main(["encode", "--config", str(cfg), "--out", str(tmp_path / "beam")]) == 0
+
+
 def test_pack_binary_example():
     # relative indices (0,1,1) at d=2 -> bits 011
     walk = np.array([0, 1, 3])
@@ -485,3 +560,44 @@ def test_simulate_ensemble_fixed_sequence_reuses_source(tmp_path):
     summary = json.loads((tmp_path / "ensemble_summary.json").read_text())
     assert summary["mean"] == a.mean
     assert summary["gap"] == summary["mean"] - summary["d0"]
+
+
+# Encoder Monte Carlo past criterion 5's n <= 18, where the bound prunes hardest.  Fixed-sequence
+# trials with uniform P and Q and Hamming-4: every branch distortion is Bernoulli(3/4) whatever the
+# source letter, so a trial's total has exactly the law of the tree minimum M_n (exact_laws).
+# Seed, trial counts and levels were fixed before the first run.
+MC_SEED = 271828
+U4 = SourceModel([0.25] * 4)
+
+
+def test_exact_encoder_mean_at_n32_meets_the_exact_law_and_the_tolerance():
+    n, trials = 32, 30
+    mc = simulate_ensemble(U4, Q4, HAMMING4, 2, n, trials, MC_SEED, fixed_sequence=True)
+    means, sds = tree_minimum_moments(HAMMING4.values[0], Q4.probs, 2, n)
+    assert abs(mc.mean - means[n] / n) <= 3 * sds[n] / n / math.sqrt(trials)
+    assert mc.mean <= verify_d0_equals_d(U4, HAMMING4, 2).d_of_r + 0.08
+
+
+def test_exact_totals_at_n24_follow_the_tree_minimum_law_and_bound_the_beam():
+    n, trials, alpha = 24, 200, 0.01
+    x = U4.sample(uniforms(MC_SEED, SOURCE_STREAM, 0, np.arange(n, dtype=np.uint64)))
+
+    def trial(t, seed):
+        code = TreeCode(seed, Q4, TreeShape(2, n))
+        return [encode_exact(code, x, HAMMING4).total_distortion, encode_beam(code, x, HAMMING4, 8).total_distortion]
+
+    exact, beam = run_trials(trial, trials, MC_SEED).values.T
+    assert np.all(beam >= exact)
+    law = tree_minimum_pmf(HAMMING4.values[0], Q4.probs, 2, n)[n]
+    # chi-square over neighbouring totals merged until each bin expects at least 5 trials
+    observed, expected = [0], [0.0]
+    for count, p in zip(np.bincount(exact.astype(int), minlength=law.size), trials * law / law.sum()):
+        if expected[-1] >= 5:
+            observed.append(0)
+            expected.append(0.0)
+        observed[-1] += count
+        expected[-1] += p
+    if expected[-1] < 5:
+        observed[-2:] = [sum(observed[-2:])]
+        expected[-2:] = [sum(expected[-2:])]
+    assert chisquare(observed, expected).pvalue >= alpha
