@@ -15,17 +15,19 @@ import sys
 from .harness import EXIT_ERROR, EXIT_OK, EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="cayleycodec",
+    description="Tree free-energy numerics and random tree-code experiments",
+)
+_PARSER.add_argument("kind", choices=EXPERIMENT_KINDS, help="experiment kind; must match the config's")
+_PARSER.add_argument("--config", required=True, help="JSON experiment config")
+_PARSER.add_argument("--seed", type=int, default=None, help="override master seed")
+_PARSER.add_argument("--out", default=None, help="output directory")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="cayleycodec",
-        description="Tree free-energy numerics and random tree-code experiments",
-    )
-    parser.add_argument("kind", choices=EXPERIMENT_KINDS, help="experiment kind; must match the config's")
-    parser.add_argument("--config", required=True, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="override master seed")
-    parser.add_argument("--out", default=None, help="output directory")
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, which is EXIT_NOT_APPLICABLE's code
         return EXIT_ERROR if exc.code else EXIT_OK
     try:

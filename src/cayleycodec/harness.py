@@ -173,6 +173,11 @@ class ExperimentConfig:
         for name in required + (("source",) if kind == "encode" and cfg.x is None else ()):
             if getattr(cfg, name) in (None, []):
                 raise ConfigError(f"{kind}: config field {name!r} is required")
+        # a full-tree sweep to level n peaks near 36 d^n bytes; n > 64 (d^n > 2^64) is refused before d^n is computed
+        n = max(cfg.n_list, default=0)
+        if kind == "dprm-converge" and (n > 64 or 36 * cfg.d**n > treecode.MEMORY_BUDGET):
+            raise ConfigError(f"shape.n_list: a sweep to n = {n} at d = {cfg.d} needs about 36 d^n bytes, "
+                              f"more than half of physical memory ({treecode.MEMORY_BUDGET} bytes)")
         # finite differences and the bracketing of beta_c both read the grid in order
         if kind == "phase-scan" and len(cfg.betas) < 3:
             raise ConfigError("phase-scan: beta grid too small")

@@ -14,9 +14,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+_GAMMA, _M1, _M2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U64 = [np.uint64(c) for c in (_GAMMA, _M1, _M2, 30, 27, 31)]  # the same, as uint64 scalars
 
 # Domain-separation tags for the independent substreams hanging off one
 # master seed.  Arbitrary distinct constants.
@@ -27,30 +26,36 @@ TRIAL_STREAM = 0x510E527FADE682D1
 
 
 def _finalize(x: np.ndarray) -> np.ndarray:
-    """splitmix64 output function: a bijective avalanche on uint64."""
-    with np.errstate(over="ignore"):  # modular wrap-around is the point
-        z = x + _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+    """splitmix64 output function: a bijective avalanche on uint64 (wrap-around is the point)."""
+    gamma, m1, m2, s30, s27, s31 = _U64
+    z = x + gamma
+    z = (z ^ (z >> s30)) * m1
+    z = (z ^ (z >> s27)) * m2
+    return z ^ (z >> s31)
 
 
-def _as_u64(k) -> np.ndarray:
-    if isinstance(k, (int, np.integer)):
-        return np.uint64(int(k) & _MASK64)
-    a = np.asarray(k)
-    return a.astype(np.uint64)
+def _finalize_int(z: int) -> int:
+    """_finalize on a Python int, masked to 64 bits after each step."""
+    z = (z + _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _M1) & _MASK64
+    z = ((z ^ (z >> 27)) * _M2) & _MASK64
+    return z ^ (z >> 31)
 
 
 def hash64(*keys) -> np.ndarray:
     """Collapse (seed, tag, index, ...) into one 64-bit hash.
 
-    Scalar keys give a scalar hash; a single array key (conventionally the
-    last) broadcasts, giving one hash per element.
+    Scalar keys give a np.uint64; a single array key (conventionally the
+    last) broadcasts, giving one hash per element.  Leading int keys fold in
+    Python ints, the rest in uint64 arrays from the first array key on.
     """
-    h = np.uint64(0)
-    for k in keys:
-        h = _finalize(h ^ _as_u64(k))
+    h, i = 0, 0
+    while i < len(keys) and isinstance(keys[i], (int, np.integer)):
+        h, i = _finalize_int(h ^ (int(keys[i]) & _MASK64)), i + 1
+    h = np.uint64(h)
+    with np.errstate(over="ignore"):  # a 0-d array key gives numpy scalars, which warn on wrap-around
+        for k in keys[i:]:
+            h = _finalize(h ^ np.asarray(k).astype(np.uint64))
     return h
 
 

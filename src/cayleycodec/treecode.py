@@ -33,8 +33,10 @@ _HEADER = struct.Struct(">8sIIQ")  # magic, d, n, master_seed: 24 bytes
 HEADER_SIZE = _HEADER.size
 # encode_exact sweeps a tree of fewer leaves whole: there the bound pass costs more than it prunes
 PRUNE_MIN_LEAVES = 1 << 14
-# paths one pruned generation may grow: half of physical memory at 128 bytes each (about 44 measured)
-MAX_CHILDREN = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 256
+# bytes a tree search may ask for: half of physical memory
+MEMORY_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+# paths one pruned generation may grow, at 128 bytes each (about 44 measured)
+MAX_CHILDREN = MEMORY_BUDGET // 128
 
 
 @dataclass(frozen=True)
@@ -107,14 +109,17 @@ def encode_exact(code: TreeCode, x, rho: DistortionMatrix) -> EncodingResult:
                              "lower shape.n, or set beam_width to encode with the beam encoder")
         idx = (d * idx[:, None] + np.arange(d, dtype=np.uint64)).ravel()
         dist = np.repeat(dist, d) + rho.values[x[t - 1]][code._symbols_at(t, idx)]
-        idx, dist = idx[dist <= bound], dist[dist <= bound]
+        keep = dist <= bound
+        idx, dist = idx[keep], dist[keep]
     return EncodingResult(walk_from_leaf(int(idx[np.argmin(dist)]), code.shape), float(dist.min()))
 
 
 def _beam_sweep(code: TreeCode, x: np.ndarray, rho: DistortionMatrix, widths: np.ndarray) -> tuple[list, list]:
     """M-algorithm sweeps of ascending widths, one row each; row w keeps its
     first w survivors and pads the rest with distortion inf, so it sums and
-    sorts exactly as a lone width-w sweep.  Returns (best leaves, distortions)."""
+    sorts exactly as a lone width-w sweep.  A row holds its survivors in
+    ascending leaf index, so their children come in leaf order and one stable
+    sort ranks them by (distortion, leaf).  Returns (best leaves, distortions)."""
     d, n = code.shape.d, code.shape.n
     surv_idx = np.zeros((widths.size, 1), dtype=np.int64)  # node indices at generation t-1
     surv_dist = np.zeros((widths.size, 1))
@@ -123,10 +128,14 @@ def _beam_sweep(code: TreeCode, x: np.ndarray, rho: DistortionMatrix, widths: np
         dist = np.repeat(surv_dist, d, axis=1)
         live = dist < np.inf
         dist[live] += rho.values[x[t - 1]][code._symbols_at(t, cand[live].astype(np.uint64))]
-        # absolute index order == lexicographic order on the full path
-        order = np.lexsort((cand, dist), axis=-1)[:, : widths[-1]]
-        surv_idx, surv_dist = np.take_along_axis(cand, order, -1), np.take_along_axis(dist, order, -1)
-        surv_dist[np.arange(order.shape[1]) >= widths[:, None]] = np.inf
+        cols = cand.shape[1]
+        order = np.argsort(dist, axis=-1, kind="stable")[:, : widths[-1]]
+        pad = np.arange(order.shape[1]) >= widths[:, None]
+        if t < n:  # kept ranks back in leaf order, ahead of the padding, so pad still marks the padding
+            order = np.sort(np.where(pad, order + cols, order)) % cols
+        flat = order + cols * np.arange(widths.size)[:, None]
+        surv_idx, surv_dist = cand.ravel()[flat], dist.ravel()[flat]
+        surv_dist[pad] = np.inf
     return surv_idx[:, 0].tolist(), surv_dist[:, 0].tolist()
 
 

@@ -3,7 +3,9 @@
 The walk oracles enumerate all d^n walks explicitly; nothing is shared with
 the tree sweeps under test, not even the log-sum-exp primitive.  The two
 one-case-at-a-time loops, beam_pass and blahut_arimoto_loop, are the
-references for the batched engines.
+references for the batched engines.  hash64_numpy and beam_sweep_lexsort
+are the library's earlier numpy-scalar hash and lexsort beam sweep, the
+references for the ones that replaced them.
 """
 
 import numpy as np
@@ -78,6 +80,37 @@ def beam_pass(code, x, rho, M):
         order = np.lexsort((cand, dist))[:M]
         surv_idx, surv_dist = cand[order], dist[order]
     return int(surv_idx[0]), float(surv_dist[0])
+
+
+def hash64_numpy(*keys):
+    """splitmix64 chain with every key, scalar or not, folded in numpy uint64."""
+    h = np.uint64(0)
+    for k in keys:
+        k = np.uint64(int(k) & (2**64 - 1)) if isinstance(k, (int, np.integer)) else np.asarray(k).astype(np.uint64)
+        with np.errstate(over="ignore"):
+            z = (h ^ k) + np.uint64(0x9E3779B97F4A7C15)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            h = z ^ (z >> np.uint64(31))
+    return h
+
+
+def beam_sweep_lexsort(code, x, rho, widths):
+    """The batched beam sweep with survivors in rank order and one
+    lexsort((leaf, distortion)) per generation; returns (best leaves,
+    distortions) per width row."""
+    d, n = code.shape.d, code.shape.n
+    surv_idx = np.zeros((widths.size, 1), dtype=np.int64)
+    surv_dist = np.zeros((widths.size, 1))
+    for t in range(1, n + 1):
+        cand = (d * surv_idx[:, :, None] + np.arange(d, dtype=np.int64)).reshape(widths.size, -1)
+        dist = np.repeat(surv_dist, d, axis=1)
+        live = dist < np.inf
+        dist[live] += rho.values[x[t - 1]][code._symbols_at(t, cand[live].astype(np.uint64))]
+        order = np.lexsort((cand, dist), axis=-1)[:, : widths[-1]]
+        surv_idx, surv_dist = np.take_along_axis(cand, order, -1), np.take_along_axis(dist, order, -1)
+        surv_dist[np.arange(order.shape[1]) >= widths[:, None]] = np.inf
+    return surv_idx[:, 0].tolist(), surv_dist[:, 0].tolist()
 
 
 def blahut_arimoto_loop(P, rho, beta):

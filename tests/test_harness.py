@@ -500,6 +500,19 @@ def test_cli_seed_override(tmp_path):
     assert summary["master_seed"] == 123
 
 
+def test_cli_repeated_in_process_calls_share_no_state(tmp_path, capsys):
+    # one parser serves every call: a usage error, a run or --help leaves nothing for the next call
+    cfg = write_config(tmp_path, converge_config())
+    assert main(["bogus", "--config", cfg]) == 1
+    assert main(["dprm-converge", "--config", cfg, "--out", str(tmp_path / "s1"), "--seed", "123"]) == 0
+    assert main(["--help"]) == 0
+    assert main(["--help"]) == 0
+    assert main(["dprm-converge", "--config", cfg, "--out", str(tmp_path / "s2")]) == 0
+    seeds = [json.loads((tmp_path / s / "dprm_converge_summary.json").read_text())["master_seed"] for s in ("s1", "s2")]
+    assert seeds == [123, 77]
+    assert capsys.readouterr().out.count("experiment kind") == 2
+
+
 @pytest.mark.parametrize("seed, code", [(2**64, 1), (-1, 1), (2**64 - 1, 0)])
 def test_cli_seed_override_is_validated(tmp_path, seed, code):
     cfg = write_config(tmp_path, {
@@ -826,6 +839,15 @@ def test_run_experiment_writes_exactly_its_files(tmp_path, kind, extra, files, c
     out = tmp_path / "out"
     assert run_experiment(ExperimentConfig.from_dict(raw), str(out)) == code
     assert {p.name for p in out.iterdir()} == files
+
+
+def test_dprm_converge_refuses_a_sweep_past_half_of_physical_memory():
+    # parsed only, never run: 36 * 2^40 bytes is about 40 TB, 36 * 2^16 about 2.4 MB
+    with pytest.raises(ConfigError, match="shape.n_list"):
+        ExperimentConfig.from_dict(converge_config(shape={"d": 2, "n_list": [8, 40]}))
+    with pytest.raises(ConfigError, match="shape.n_list"):
+        ExperimentConfig.from_dict(converge_config(shape={"d": 2, "n_list": [2**63]}))
+    assert ExperimentConfig.from_dict(converge_config(shape={"d": 2, "n_list": [16]})).n_list == [16]
 
 
 def test_readme_configs_parse():

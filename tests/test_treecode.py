@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from bruteforce import beam_pass, code_energies, enumerate_ground_state
+from bruteforce import beam_pass, beam_sweep_lexsort, code_energies, enumerate_ground_state
 from exact_laws import tree_minimum_moments, tree_minimum_pmf
 from cayleycodec import (
     Bitstream,
@@ -269,6 +269,40 @@ def test_beam_sweep_matches_per_width_oracle(d, n, widths, decimal):
             ]
 
 
+def random_rho(rng, k, case):
+    """One of four k-column distortion matrices, by case mod 4."""
+    return DistortionMatrix([
+        1.0 - np.eye(k),  # Hamming: integer ties
+        rng.integers(0, 12, (3, k)) / 10,  # decimals: ties that rounding breaks
+        rng.random((3, k)) * (rng.random((3, 1)) < 0.5),  # zero rows: every child ties its parent
+        rng.random((3, k)) * 10.0 ** rng.integers(-16, 3, (3, k)),  # wide range: sum orders disagree
+    ][case % 4])
+
+
+@pytest.mark.parametrize("cells", [None, 1, 37])
+def test_beam_sweep_matches_the_lexsort_oracle(monkeypatch, cells):
+    # survivors held in leaf order and one stable sort rank as lexsort((leaf, distortion)) does
+    if cells is not None:  # blocks of one row, or of a few rows
+        monkeypatch.setattr(model, "BLOCK_CELLS", cells)
+    rng = np.random.default_rng(cells or 0)
+    wider = 0
+    for case in range(80):
+        d, n, k = int(rng.integers(2, 5)), int(rng.integers(1, 9)), int(rng.integers(2, 6))
+        rho = random_rho(rng, k, case)
+        code = TreeCode(int(rng.integers(2**32)), CodingDistribution(rng.dirichlet(np.ones(k))), TreeShape(d, n))
+        x = rng.integers(0, rho.rows, n)
+        M = int(rng.integers(1, 41))
+        wider += M > d ** (n - 1)
+        widths = np.arange(1, M + 1)
+        assert treecode._beam_sweep(code, x, rho, widths) == beam_sweep_lexsort(code, x, rho, widths)
+        res = encode_beam(code, x, rho, M)
+        with monkeypatch.context() as m:
+            m.setattr(treecode, "_beam_sweep", beam_sweep_lexsort)
+            ref = encode_beam(code, x, rho, M)
+        assert (list(res.walk), res.total_distortion) == (list(ref.walk), ref.total_distortion)
+    assert wider >= 10  # M > d^(n-1), where encode_beam caps the width
+
+
 @pytest.mark.parametrize("d, n, M", [(2, 48, 32), (3, 8, 20)])
 def test_beam_blocks_do_not_change_the_result(monkeypatch, d, n, M):
     code = make_code(3, d, n)
@@ -309,12 +343,7 @@ def test_pruned_exact_equals_full_sweep(monkeypatch, d, n):
     rng = np.random.default_rng(100 * d + n)
     for case in range(24):
         k = int(rng.integers(2, 6))
-        rho = DistortionMatrix([
-            1.0 - np.eye(k),  # Hamming: integer ties
-            rng.integers(0, 12, (3, k)) / 10,  # decimals: ties that rounding breaks
-            rng.random((3, k)) * (rng.random((3, 1)) < 0.5),  # zero rows: every child ties its parent
-            rng.random((3, k)) * 10.0 ** rng.integers(-16, 3, (3, k)),  # wide range: sum orders disagree
-        ][case % 4])
+        rho = random_rho(rng, k, case)
         code = TreeCode(int(rng.integers(2**32)), CodingDistribution(rng.dirichlet(np.ones(k))), TreeShape(d, n))
         x = rng.integers(0, rho.rows, n)
         res = encode_exact(code, x, rho)
