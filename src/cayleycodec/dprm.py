@@ -15,7 +15,7 @@ ground state (the first argmin of the last level).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,11 +58,11 @@ def validate_walk(steps, shape: TreeShape) -> np.ndarray:
     return w
 
 
-def walk_from_leaf(leaf: int, shape: TreeShape) -> np.ndarray:
-    """The unique walk ending at the given leaf index: j_t = leaf // d^(n-t)."""
-    if not (0 <= leaf < shape.num_walks):
+def walk_from_leaf(leaf, shape: TreeShape) -> np.ndarray:
+    """The unique walk ending at the given leaf index (steps on a new last axis): j_t = leaf // d^(n-t)."""
+    if np.count_nonzero((leaf < 0) | (leaf >= shape.num_walks)):  # not np.any: cheap on a plain int
         raise ValueError("leaf index out of range")
-    return np.int64(leaf) // shape.d ** np.arange(shape.n - 1, -1, -1, dtype=np.int64)
+    return np.asarray(leaf, dtype=np.int64)[..., None] // shape.d ** np.arange(shape.n - 1, -1, -1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,13 @@ class BranchEnergyOracle:
 
 @dataclass(frozen=True)
 class Sweep:
-    """What one pass reads off a tree: ln Z and <E> indexed [level, beta],
-    and the ground state (walk, total energy) at the last generation."""
+    """What one pass reads off a tree: ln Z and <E> indexed [..., level, beta],
+    and the ground state (walk, total energy) at the last generation, per row."""
 
     log_z: np.ndarray
     mean_energy: np.ndarray
     walk: np.ndarray
-    min_energy: float
+    min_energy: float | np.ndarray
 
 
 def tree_sweep(energy_fn: Callable[[int], np.ndarray], shape: TreeShape, betas=(), levels=None) -> Sweep:
@@ -106,7 +106,10 @@ def tree_sweep(energy_fn: Callable[[int], np.ndarray], shape: TreeShape, betas=(
     At each level k in `levels` (default: n) and each beta > 0 it records
     ln Z_k(beta) = ln sum exp(-beta P_k), shifted by min P_k, and the
     Boltzmann mean <E>_k of P_k.  The ground state is the first argmin of
-    P_n; leaf order is lexicographic walk order, so that breaks ties.
+    P_n; leaf order is lexicographic walk order, so that breaks ties.  With
+    leading batch axes, energy_fn(i) of shape (..., d^i), each row is a tree
+    of its own, reduced over the contiguous last axis as a 1-D sweep is, so
+    bit for bit.
     """
     betas = np.asarray(betas, dtype=np.float64).reshape(-1)
     if not np.all(betas > 0):
@@ -114,24 +117,27 @@ def tree_sweep(energy_fn: Callable[[int], np.ndarray], shape: TreeShape, betas=(
     levels = [shape.n] if levels is None else [int(k) for k in levels]
     if not all(1 <= k <= shape.n for k in levels):
         raise ValueError(f"levels {levels} must lie in 1..n={shape.n}")
-    log_z = np.empty((len(levels), betas.size))
-    mean_energy = np.empty_like(log_z)
     path = np.zeros(1)
     for i in range(1, shape.n + 1):
-        path = (path[:, None] + energy_fn(i).reshape(-1, shape.d)).ravel()
+        e = energy_fn(i)
+        path = (path[..., None] + e.reshape(*e.shape[:-1], -1, shape.d)).reshape(e.shape)
+        del e  # not held through the reductions below, the sweep's memory peak
+        if i == 1:  # the batch axes are the energies'
+            log_z, mean_energy = np.empty((2, *path.shape[:-1], len(levels), betas.size))
         rows = [r for r, k in enumerate(levels) if k == i]
         if not rows or not betas.size:
             continue
-        p_min = path.min()
-        excess = path - p_min
+        p_min = path.min(axis=-1)
+        excess = path - p_min[..., None]
         w = np.empty_like(path)
         for c, beta in enumerate(betas):
             np.exp(np.multiply(excess, -beta, out=w), out=w)
-            s = w.sum()
-            log_z[rows, c] = np.log(s) - beta * p_min
-            mean_energy[rows, c] = (w * path).sum() / s
-    leaf = int(np.argmin(path))
-    return Sweep(log_z, mean_energy, walk_from_leaf(leaf, shape), float(path[leaf]))
+            s = w.sum(axis=-1)
+            log_z[..., rows, c] = (np.log(s) - beta * p_min)[..., None]
+            mean_energy[..., rows, c] = ((w * path).sum(axis=-1) / s)[..., None]
+    leaf = path.argmin(axis=-1)
+    min_energy = np.take_along_axis(path, leaf[..., None], -1)[..., 0]
+    return Sweep(log_z, mean_energy, walk_from_leaf(leaf, shape), min_energy if path.ndim > 1 else float(min_energy))
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +173,14 @@ class MonteCarloStats:
         return MonteCarloStats(float(self.mean[index]), float(self.std[index]), self.values[(slice(None), *index)])
 
 
-def run_trials(trial_fn: Callable[[int, int], float | np.ndarray], trials: int, master_seed: int) -> MonteCarloStats:
-    """Runs trial_fn(t, seed) for t = 0..trials-1, where seed is the child seed
-    derived from (master_seed, t), so trials are independent and the
-    aggregate is insensitive to execution order."""
+def run_trials(trials_fn: Callable[[np.ndarray, list], Sequence], trials: int, master_seed: int) -> MonteCarloStats:
+    """Calls trials_fn(ts, seeds) once, with ts = 0..trials-1 and the child
+    seeds derived from (master_seed, t), so trials are independent and may be
+    batched; it returns one value per trial, in trial order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    values = np.array([trial_fn(t, derive_seed(master_seed, TRIAL_STREAM, t)) for t in range(trials)])
+    seeds = [derive_seed(master_seed, TRIAL_STREAM, t) for t in range(trials)]
+    values = np.array(trials_fn(np.arange(trials), seeds))
     # trials last and contiguous, so every cell reduces exactly as a 1-D run would
     by_cell = np.ascontiguousarray(np.moveaxis(values, 0, -1))
     mean = by_cell.mean(axis=-1)
@@ -193,8 +200,8 @@ def monte_carlo_free_energy(
     shape = TreeShape(d=d, n=max(ns))
     scale = np.outer(ns, betas)
 
-    def trial(t: int, seed: int) -> np.ndarray:
+    def sweep(seed: int) -> np.ndarray:
         oracle = BranchEnergyOracle(seed, energy_dist, shape)
         return tree_sweep(oracle.generation_energies, shape, betas, ns).log_z / scale
 
-    return run_trials(trial, trials, master_seed)
+    return run_trials(lambda ts, seeds: [sweep(seed) for seed in seeds], trials, master_seed)

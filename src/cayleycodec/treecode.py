@@ -45,10 +45,11 @@ class TreeCode:
 
     The symbol on branch (t, j_1..j_t) is a pure function of
     (master_seed, t, j_t); since the last absolute index encodes the whole
-    path, it doubles as the branch key.
+    path, it doubles as the branch key.  A (T, 1) uint64 column of seeds
+    makes a block of T codes, whose symbols come one code a row.
     """
 
-    master_seed: int
+    master_seed: int | np.ndarray
     coding_dist: CodingDistribution
     shape: TreeShape
 
@@ -78,9 +79,9 @@ class EncodingResult:
         return self.total_distortion / self.walk.size
 
 
-def _check_source_tuple(code: TreeCode, x, rho: DistortionMatrix) -> np.ndarray:
+def _check_source_tuple(code: TreeCode, x, rho: DistortionMatrix, batch: tuple = ()) -> np.ndarray:
     x = np.asarray(x, dtype=np.int64)
-    if x.shape != (code.shape.n,):
+    if x.shape != (*batch, code.shape.n):
         raise ValueError(f"source tuple must have length n={code.shape.n}")
     if np.any(x < 0) or np.any(x >= rho.rows):
         raise ValueError("source letter out of range for the distortion matrix")
@@ -270,12 +271,21 @@ def simulate_ensemble(
     Each trial draws a fresh code; the source n-tuple is redrawn per trial
     unless fixed_sequence is set, in which case one sequence is held across
     code redraws (the faithful test of the per-individual-sequence claim).
+    Below PRUNE_MIN_LEAVES leaves the trials' trees go as rows of one
+    tree_sweep, in blocks of at most model.BLOCK_CELLS leaves; larger trees
+    are encoded one trial at a time.
     """
     shape = TreeShape(d=d, n=n)
+    size = max(1, model.BLOCK_CELLS // shape.num_walks)  # trials a block sweeps
 
-    def trial(t: int, seed: int) -> float:
-        src_key = 0 if fixed_sequence else t
-        x = source.sample(uniforms(master_seed, SOURCE_STREAM, src_key, np.arange(n, dtype=np.uint64)))
-        return encode_exact(TreeCode(seed, Q, shape), x, rho).per_symbol_mean
+    def block(ts: np.ndarray, seeds: list[int]):
+        codes = TreeCode(np.array(seeds, dtype=np.uint64)[:, None], Q, shape)  # one trial's code a row
+        keys = (0 * ts if fixed_sequence else ts)[:, None]
+        x = source.sample(uniforms(master_seed, SOURCE_STREAM, keys, np.arange(n, dtype=np.uint64)))
+        x = _check_source_tuple(codes, x, rho, ts.shape)
+        if shape.num_walks >= PRUNE_MIN_LEAVES:
+            return [encode_exact(TreeCode(seed, Q, shape), row, rho).per_symbol_mean for seed, row in zip(seeds, x)]
+        return tree_sweep(lambda t: rho.values[x[:, t - 1, None], codes.generation_symbols(t)], shape).min_energy / n
 
-    return run_trials(trial, trials, master_seed)
+    return run_trials(lambda ts, seeds: np.concatenate([block(ts[k : k + size], seeds[k : k + size])
+                                                        for k in range(0, trials, size)]), trials, master_seed)

@@ -2,15 +2,18 @@
 
 The walk oracles enumerate all d^n walks explicitly; nothing is shared with
 the tree sweeps under test, not even the log-sum-exp primitive.  The two
-one-case-at-a-time loops, beam_pass and blahut_arimoto_loop, are the
-references for the batched engines.  hash64_numpy and beam_sweep_lexsort
+one-case-at-a-time loops, beam_pass, blahut_arimoto_loop and
+simulate_ensemble_loop, are the references for the batched engines; the
+last encodes one trial at a time.  hash64_numpy and beam_sweep_lexsort
 are the library's earlier numpy-scalar hash and lexsort beam sweep, the
 references for the ones that replaced them.
 """
 
 import numpy as np
 
-from cayleycodec import rd
+from cayleycodec import rd, treecode
+from cayleycodec.dprm import TreeShape
+from cayleycodec.rng import SOURCE_STREAM, TRIAL_STREAM, derive_seed
 
 
 def logsumexp(a):
@@ -144,3 +147,17 @@ def blahut_arimoto_loop(P, rho, beta):
         rate = float((p[:, None] * w * np.log(ratio)).sum())
     distortion = float((p[:, None] * w * rho.values).sum())
     return rd.RDPoint(float(beta), max(rate, 0.0), distortion, rd.CodingDistribution(q), it, converged)
+
+
+def simulate_ensemble_loop(source, Q, rho, d, n, trials, master_seed, fixed_sequence=False):
+    """The ensemble one trial at a time: per trial, its source tuple (key 0
+    under fixed_sequence), a code on the child seed and one encode_exact.
+    Draws go through treecode.uniforms.  Returns (values, mean, std)."""
+    shape = TreeShape(d=d, n=n)
+    values = []
+    for t in range(trials):
+        u = treecode.uniforms(master_seed, SOURCE_STREAM, 0 if fixed_sequence else t, np.arange(n, dtype=np.uint64))
+        code = treecode.TreeCode(derive_seed(master_seed, TRIAL_STREAM, t), Q, shape)
+        values.append(treecode.encode_exact(code, source.sample(u), rho).per_symbol_mean)
+    values = np.array(values)
+    return values, float(values.mean()), float(values.std(ddof=1)) if trials > 1 else 0.0

@@ -23,6 +23,7 @@ from cayleycodec import (
     validate_walk,
 )
 from cayleycodec.dprm import tree_sweep
+from cayleycodec.rng import TRIAL_STREAM, derive_seed
 from cayleycodec.theory import BETA_MAX
 
 GAUSS = EnergyDistribution.gaussian(0.0, 1.0)
@@ -228,6 +229,24 @@ def test_sweep_every_level_and_beta_matches_enumeration(d):
                         enumerate_internal_energy(energies, d, k, beta), abs=1e-10)
 
 
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 1), (2, 9), (3, 5)])
+def test_batched_sweep_rows_equal_lone_sweeps_bit_for_bit(d, n):
+    # trees stacked on leading axes: every reduction runs per row, as in the row's own 1-D sweep
+    betas, levels = [0.3, 1.0, 7.0, BETA_MAX], list(range(1, n + 1))
+    seeds = np.arange(6).reshape(2, 3)
+    oracles = [[BranchEnergyOracle(int(s), GAUSS, TreeShape(d, n)) for s in row] for row in seeds]
+    batch = tree_sweep(lambda i: np.array([[o.generation_energies(i) for o in row] for row in oracles]),
+                       TreeShape(d, n), betas, levels)
+    assert batch.log_z.shape == batch.mean_energy.shape == (2, 3, n, len(betas))
+    assert batch.walk.shape == (2, 3, n) and batch.min_energy.shape == (2, 3)
+    for r, c in np.ndindex(2, 3):
+        lone = tree_sweep(oracles[r][c].generation_energies, TreeShape(d, n), betas, levels)
+        assert batch.log_z[r, c].tobytes() == lone.log_z.tobytes()
+        assert batch.mean_energy[r, c].tobytes() == lone.mean_energy.tobytes()
+        assert list(batch.walk[r, c]) == list(lone.walk) and float(batch.min_energy[r, c]) == lone.min_energy
+    assert type(lone.min_energy) is float
+
+
 def test_sweep_finite_at_beta_max():
     o = BranchEnergyOracle(3, GAUSS, TreeShape(d=2, n=8))
     sweep = tree_sweep(o.generation_energies, o.shape, [BETA_MAX], [4, 8])
@@ -310,11 +329,27 @@ def test_grid_cell_equals_single_cell():
 
 
 def test_run_trials_scalar_stats_are_plain_reductions():
-    stats = run_trials(lambda t, seed: math.sin(seed % 1000), 37, 5)
+    stats = run_trials(lambda ts, seeds: [math.sin(seed % 1000) for seed in seeds], 37, 5)
     assert stats.values.shape == (37,)
     assert stats.mean == float(stats.values.mean())
     assert stats.std == float(stats.values.std(ddof=1))
-    assert run_trials(lambda t, seed: 1.5, 1, 5).std == 0.0
+    assert run_trials(lambda ts, seeds: [1.5], 1, 5).std == 0.0
+
+
+def test_run_trials_hands_over_every_trial_and_its_child_seed_at_once():
+    calls = []
+
+    def trials_fn(ts, seeds):
+        calls.append((ts.tolist(), seeds))
+        return np.asarray(seeds, dtype=np.float64)
+
+    stats = run_trials(trials_fn, 4, 99)
+    seeds = [derive_seed(99, TRIAL_STREAM, t) for t in range(4)]
+    assert calls == [([0, 1, 2, 3], seeds)]
+    assert np.array_equal(stats.values, np.array(seeds, dtype=np.float64))
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_trials(trials_fn, 0, 99)
+    assert len(calls) == 1
 
 
 def test_monte_carlo_matches_annealed_curve():
@@ -326,7 +361,7 @@ def test_ground_state_mean_matches_exact_minimum_law():
     values, probs, d, n, trials = [0.0, 1.0, 2.0], [0.2, 0.5, 0.3], 2, 12, 200
     dist = EnergyDistribution.discrete(values, probs)
     stats = run_trials(
-        lambda t, seed: ground_state(BranchEnergyOracle(seed, dist, TreeShape(d=d, n=n)))[1],
+        lambda ts, seeds: [ground_state(BranchEnergyOracle(seed, dist, TreeShape(d=d, n=n)))[1] for seed in seeds],
         trials,
         31415,
     )

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from bruteforce import beam_pass, beam_sweep_lexsort, code_energies, enumerate_ground_state
+from bruteforce import beam_pass, beam_sweep_lexsort, code_energies, enumerate_ground_state, simulate_ensemble_loop
 from exact_laws import tree_minimum_moments, tree_minimum_pmf
 from cayleycodec import (
     Bitstream,
@@ -38,7 +38,7 @@ from cayleycodec import model, treecode
 from cayleycodec.cli import main
 from cayleycodec.dprm import tree_sweep
 from cayleycodec.harness import ExperimentConfig, run_experiment
-from cayleycodec.rng import SOURCE_STREAM, uniforms
+from cayleycodec.rng import CODEBOOK_STREAM, SOURCE_STREAM, uniforms
 
 Q4 = CodingDistribution([0.25] * 4)
 HAMMING4 = DistortionMatrix.hamming(4)
@@ -563,6 +563,86 @@ def test_simulate_ensemble_constant_distortion():
     assert FreeEnergyLimit.for_distribution(symmetric_energy_law(Q, rho), 2).d0 == pytest.approx(c, abs=1e-3)
 
 
+def ensemble_bits(values, mean, std):
+    return values.tobytes(), mean.hex(), std.hex()
+
+
+@pytest.mark.parametrize("d, n", [(2, n) for n in range(1, 14)] + [(3, 8), (4, 6)])
+def test_batched_ensemble_equals_the_per_trial_loop(monkeypatch, d, n):
+    # the trials' trees as rows of one sweep: values, mean and std bit for bit, however blocks split them
+    rng = np.random.default_rng(100 * d + n)
+    for case in range(4):
+        k = int(rng.integers(2, 5))
+        rho = random_rho(rng, k, case)
+        source, Q = SourceModel(rng.dirichlet(np.ones(rho.rows))), CodingDistribution(rng.dirichlet(np.ones(k)))
+        for fixed in (False, True):
+            for trials in (1, 2, 9):
+                seed = int(rng.integers(2**64, dtype=np.uint64))
+                want = ensemble_bits(*simulate_ensemble_loop(source, Q, rho, d, n, trials, seed, fixed))
+                for cells in (None, d**n, 4 * d**n):  # unpatched; one trial a block; 9 trials as 4 + 4 + 1
+                    with monkeypatch.context() as m:
+                        if cells is not None:
+                            m.setattr(model, "BLOCK_CELLS", cells)
+                        got = simulate_ensemble(source, Q, rho, d, n, trials, seed, fixed)
+                    assert ensemble_bits(got.values, got.mean, got.std) == want
+
+
+def record_draws(monkeypatch):
+    """Patch treecode.uniforms to log (stream, cells returned) per call."""
+    calls, real = [], treecode.uniforms
+
+    def recorder(*keys):
+        out = real(*keys)
+        calls.append((keys[1], out.size))
+        return out
+
+    monkeypatch.setattr(treecode, "uniforms", recorder)
+    return calls
+
+
+def draw_totals(calls):
+    return {stream: sum(size for s, size in calls if s == stream) for stream in (CODEBOOK_STREAM, SOURCE_STREAM)}
+
+
+@pytest.mark.parametrize("d, n", [(2, 10), (3, 6), (2, 14)])
+def test_batched_ensemble_draws_what_the_loop_draws_in_capped_calls(monkeypatch, d, n):
+    trials, cells = 9, 4 * d**n  # blocks of 4, 4 and 1 trials
+    monkeypatch.setattr(model, "BLOCK_CELLS", cells)
+    rng = np.random.default_rng(d * n)
+    rho, Q = random_rho(rng, 3, 3), CodingDistribution(rng.dirichlet(np.ones(3)))
+    source = SourceModel(rng.dirichlet(np.ones(rho.rows)))
+    calls = record_draws(monkeypatch)
+    for fixed in (False, True):
+        calls.clear()
+        simulate_ensemble(source, Q, rho, d, n, trials, 5, fixed)
+        batched = list(calls)
+        calls.clear()
+        simulate_ensemble_loop(source, Q, rho, d, n, trials, 5, fixed)
+        assert draw_totals(batched) == draw_totals(calls)
+        assert sum(s == SOURCE_STREAM for s, _ in batched) == 3
+        if d**n < treecode.PRUNE_MIN_LEAVES:  # one codebook call a generation a block, none past the cap
+            assert sum(s == CODEBOOK_STREAM for s, _ in batched) == 3 * n
+            assert max(size for _, size in batched) <= cells
+
+
+@pytest.mark.parametrize("n", [6, 14])
+def test_ensemble_refuses_what_encode_exact_refuses_before_any_sweep(monkeypatch, n):
+    shape, H2 = TreeShape(2, n), DistortionMatrix.hamming(2)
+    cases = [(SourceModel([0.5, 0.5]), CodingDistribution([0.5, 0.25, 0.25]), "disagree on"),  # |Y| 3, 2 columns
+             (SourceModel([0.0, 0.0, 1.0]), CodingDistribution([0.5, 0.5]), "out of range")]  # letter 2, 2 rows
+    calls = record_draws(monkeypatch)
+    for source, Q, message in cases:
+        with pytest.raises(ValueError, match=message) as want:
+            encode_exact(TreeCode(1, Q, shape), source.sample(np.full(n, 0.5)), H2)
+        calls.clear()
+        with pytest.raises(ValueError) as got:
+            simulate_ensemble(source, Q, H2, 2, n, 9, 1)
+        assert str(got.value) == str(want.value)
+        assert [s for s, _ in calls] == [SOURCE_STREAM]  # no codebook draw, so no sweep
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        simulate_ensemble(SourceModel([0.5, 0.5]), CodingDistribution([0.5, 0.5]), H2, 2, n, 0, 1)
+
+
 def ensemble_config(source, coding, distortion, d, n, trials, master_seed, fixed_sequence=False):
     return ExperimentConfig.from_dict({
         "kind": "ensemble",
@@ -611,11 +691,11 @@ def test_exact_totals_at_n24_follow_the_tree_minimum_law_and_bound_the_beam():
     n, trials, alpha = 24, 200, 0.01
     x = U4.sample(uniforms(MC_SEED, SOURCE_STREAM, 0, np.arange(n, dtype=np.uint64)))
 
-    def trial(t, seed):
+    def trial(seed):
         code = TreeCode(seed, Q4, TreeShape(2, n))
         return [encode_exact(code, x, HAMMING4).total_distortion, encode_beam(code, x, HAMMING4, 8).total_distortion]
 
-    exact, beam = run_trials(trial, trials, MC_SEED).values.T
+    exact, beam = run_trials(lambda ts, seeds: [trial(seed) for seed in seeds], trials, MC_SEED).values.T
     assert np.all(beam >= exact)
     law = tree_minimum_pmf(HAMMING4.values[0], Q4.probs, 2, n)[n]
     # chi-square over neighbouring totals merged until each bin expects at least 5 trials
