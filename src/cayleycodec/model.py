@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import ndtri
 
 PROB_TOL = 1e-12
 # Distortion values closer than this are treated as a single atom when
@@ -162,7 +162,12 @@ class EnergyDistribution:
     def log_mgf(self, beta: float) -> float:
         """ln E{exp(-beta * eps)}, in closed form for the Gaussian variant."""
         if self.kind == "discrete":
-            return float(logsumexp(-beta * self.values, b=self.probs))
+            # scipy.special.logsumexp's own steps (scipy >= 1.15): its bits without its per-call dispatch
+            a = -beta * self.values
+            a_max = a.max()
+            top = a == a_max
+            m, s = (self.probs * top).sum(), (self.probs * np.exp(np.where(top, -np.inf, a - a_max))).sum()
+            return float(np.log1p(s / m) + np.log(m) + a_max)  # m > 0: merged atoms have positive mass
         return -beta * self.mean_param + 0.5 * beta * beta * self.std_param**2
 
     def log_mgf_prime(self, beta: float) -> float:

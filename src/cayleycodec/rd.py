@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,9 +34,45 @@ class RDPoint:
     beta: float
     R: float  # nats/symbol
     D: float
-    Q_star: CodingDistribution
+    q: np.ndarray  # the final output marginal as the updates left it; Q_star validates it on first read
     iterations: int
     converged: bool
+
+    @cached_property
+    def Q_star(self) -> CodingDistribution:
+        return CodingDistribution(self.q)
+
+
+def _ba_updates(p: np.ndarray, expm: np.ndarray, grid: np.ndarray):
+    """blahut_arimoto_curve's lock-step updates: per slope, its final marginal, updates and converged flag."""
+    qs = np.full((grid.size, expm.shape[2]), 1.0 / expm.shape[2])
+    its, converged = np.zeros(grid.size, dtype=np.int64), grid == 0  # a rate-zero slope needs no update
+    live = np.flatnonzero(grid > 0)
+    q, done = qs[live], 0
+    while live.size and done < BA_MAX_ITER:
+        # total variation is checked once per block of updates, from the kept
+        # marginals; blocks start short so a slope that converges at once
+        # pays for few extra updates
+        block = min(32, max(done, 1), BA_MAX_ITER - done)
+        hist = np.empty((block + 1,) + q.shape)
+        hist[0] = q
+        e, w = expm[live], np.empty((live.size,) + expm.shape[1:])
+        s = np.empty(w.shape[:2] + (1,))
+        for k in range(block):
+            np.multiply(e, hist[k, :, None], out=w)  # unnormalized test channel
+            np.add.reduce(w, axis=2, keepdims=True, out=s)
+            np.divide(w, s, out=w)
+            np.matmul(p, w, out=hist[k + 1])
+        hit = 0.5 * np.abs(hist[1:] - hist[:-1]).sum(axis=2) < BA_TOL  # (block, live)
+        met = hit.any(axis=0)
+        first = np.where(met, hit.argmax(axis=0), block - 1)
+        done += block
+        stop = met | (done == BA_MAX_ITER)
+        if stop.any():  # most blocks of a slow slope stop no row
+            j = np.flatnonzero(stop)
+            qs[live[j]], its[live[j]], converged[live[j]] = hist[first[j] + 1, j], done - block + first[j] + 1, met[j]
+        live, q = live[~stop], hist[block, ~stop]
+    return qs, its, converged
 
 
 def blahut_arimoto_curve(P: SourceModel, rho: DistortionMatrix, betas) -> list[RDPoint]:
@@ -64,50 +101,20 @@ def blahut_arimoto_curve(P: SourceModel, rho: DistortionMatrix, betas) -> list[R
     # keeps exp from underflowing to an all-zero row at large beta
     grid = np.array(betas)
     expm = np.exp(-grid[:, None, None] * (dist - dist.min(axis=1, keepdims=True)))  # (B, |X|, |Y|)
-    uniform = np.full(rho.cols, 1.0 / rho.cols)
-    stops = [(uniform, 0, False)] * len(betas)  # per slope: final marginal, updates, converged
-    live = np.flatnonzero(grid > 0)
-    q, done = np.tile(uniform, (live.size, 1)), 0
-    while live.size and done < BA_MAX_ITER:
-        # total variation is checked once per block of updates, from the kept
-        # marginals; blocks start short so a slope that converges at once
-        # pays for few extra updates
-        block = min(32, max(done, 1), BA_MAX_ITER - done)
-        hist = np.empty((block + 1,) + q.shape)
-        hist[0] = q
-        e, w = expm[live], np.empty((live.size,) + dist.shape)
-        s = np.empty(w.shape[:2] + (1,))
-        for k in range(block):
-            np.multiply(e, hist[k, :, None], out=w)  # unnormalized test channel
-            np.add.reduce(w, axis=2, keepdims=True, out=s)
-            np.divide(w, s, out=w)
-            np.matmul(p, w, out=hist[k + 1])
-        hit = 0.5 * np.abs(hist[1:] - hist[:-1]).sum(axis=2) < BA_TOL  # (block, live)
-        met = hit.any(axis=0)
-        first = np.where(met, hit.argmax(axis=0), block - 1)
-        done += block
-        stop = met | (done == BA_MAX_ITER)
-        for j in np.flatnonzero(stop):
-            stops[live[j]] = hist[first[j] + 1, j].copy(), done - block + int(first[j]) + 1, bool(met[j])
-        live, q = live[~stop], hist[block, ~stop]
-    points = []
-    for beta, e, (q, it, converged) in zip(betas, expm, stops):
-        if beta == 0.0:
-            # rate-zero endpoint: reproduce with the single best letter
-            exp_d = p @ dist
-            y = int(np.argmin(exp_d))
-            q0 = np.zeros(rho.cols)
-            q0[y] = 1.0
-            points.append(RDPoint(0.0, 0.0, float(exp_d[y]), CodingDistribution(q0), 0, True))
-            continue
-        w = e * q
-        w /= w.sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(w > 0, w / q, 1.0)
-            rate = float((p[:, None] * w * np.log(ratio)).sum())
-        distortion = float((p[:, None] * w * dist).sum())
-        points.append(RDPoint(beta, max(rate, 0.0), distortion, CodingDistribution(q), it, converged))
-    return points
+    qs, its, converged = _ba_updates(p, expm, grid)
+    # R and D of all rows at once, each summed over its (|X|, |Y|) cells; D first in expm's buffer caps the peak
+    w = np.multiply(expm, qs[:, None, :], out=expm)
+    w /= w.sum(axis=2, keepdims=True)
+    distortions = (p[:, None] * w * dist).sum(axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(w > 0, w / qs[:, None, :], 1.0)
+        rates = np.multiply(p[:, None] * w, np.log(ratio, out=ratio), out=ratio).sum(axis=(1, 2))
+    if 0.0 in betas:  # rate-zero endpoint: reproduce with the single best letter
+        exp_d = p @ dist
+        qs[grid == 0], rates[grid == 0], distortions[grid == 0] = np.eye(rho.cols)[np.argmin(exp_d)], 0.0, exp_d.min()
+    qs.flags.writeable = False
+    return [RDPoint(b, max(r, 0.0), dd, q, it, c) for b, r, dd, q, it, c in zip(
+        betas, rates.tolist(), distortions.tolist(), qs, its.tolist(), converged.tolist())]
 
 
 def blahut_arimoto(P: SourceModel, rho: DistortionMatrix, beta: float) -> RDPoint:

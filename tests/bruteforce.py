@@ -126,7 +126,7 @@ def blahut_arimoto_loop(P, rho, beta):
         y = int(np.argmin(exp_d))
         q0 = np.zeros(rho.cols)
         q0[y] = 1.0
-        return rd.RDPoint(0.0, 0.0, float(exp_d[y]), rd.CodingDistribution(q0), 0, True)
+        return rd.RDPoint(0.0, 0.0, float(exp_d[y]), q0, 0, True)
     expm = np.exp(-beta * (rho.values - rho.values.min(axis=1, keepdims=True)))
     q = np.full(rho.cols, 1.0 / rho.cols)
     converged = False
@@ -146,7 +146,7 @@ def blahut_arimoto_loop(P, rho, beta):
         ratio = np.where(w > 0, w / q, 1.0)
         rate = float((p[:, None] * w * np.log(ratio)).sum())
     distortion = float((p[:, None] * w * rho.values).sum())
-    return rd.RDPoint(float(beta), max(rate, 0.0), distortion, rd.CodingDistribution(q), it, converged)
+    return rd.RDPoint(float(beta), max(rate, 0.0), distortion, q, it, converged)
 
 
 def simulate_ensemble_loop(source, Q, rho, d, n, trials, master_seed, fixed_sequence=False):

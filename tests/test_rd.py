@@ -17,7 +17,7 @@ from cayleycodec import (
     verify_d0_equals_d,
 )
 from cayleycodec import model, rd
-from cayleycodec.harness import ExperimentConfig, run_experiment
+from cayleycodec.harness import ExperimentConfig, run_experiment, run_rd_curve
 from cayleycodec.theory import BETA_MAX
 
 # the rd-theorem workload's NOT-APPLICABLE pair; its curve does not converge at beta = 1.1
@@ -188,6 +188,46 @@ def test_ba_leaves_out_a_zero_probability_source_letter():
         assert_same_point(got, blahut_arimoto_loop(SourceModel([0.9, 0.1]), DistortionMatrix(rho.values[:2]), beta))
 
 
+def rd_curve_config(probs, k, grid):
+    return ExperimentConfig.from_dict({
+        "kind": "rd-curve",
+        "master_seed": 1,
+        "models": {"source": {"probs": probs}, "distortion": {"hamming": k}},
+        "beta_grid": grid,
+    })
+
+
+def test_ba_curve_validates_no_pmf_per_slope(monkeypatch):
+    calls, real = [], model._validated_pmf
+    monkeypatch.setattr(model, "_validated_pmf", lambda *a: calls.append(a) or real(*a))
+    grid = [round(0.1 * k, 10) for k in range(1, 101)]
+    points = blahut_arimoto_curve(*ASYMMETRIC, grid)
+    assert calls == []
+    cfg = rd_curve_config([0.5, 0.3, 0.2], 3, grid)
+    assert len(calls) == 1  # the config's source
+    run_rd_curve(cfg)
+    rd._solve_beta_for_rate(*ASYMMETRIC, math.log(2))
+    assert len(calls) == 1
+    # Q* is validated on first read only, then kept
+    point = points[10]
+    assert point.Q_star is point.Q_star and len(calls) == 2
+    assert np.array_equal(point.Q_star.probs, CodingDistribution(point.q).probs)
+
+
+@pytest.mark.parametrize("probs, max_iter", [([0.5, 0.3, 0.2], 45), ([0.9, 0.1, 0.0], rd.BA_MAX_ITER)])
+def test_rd_curve_table_matches_the_scalar_loop(monkeypatch, probs, max_iter):
+    monkeypatch.setattr(rd, "BA_MAX_ITER", max_iter)
+    rng = np.random.default_rng(9)
+    grid = [0.0, BETA_MAX, *np.exp(rng.uniform(-3.0, 5.0, size=20)).tolist()]
+    rng.shuffle(grid)
+    rows = run_rd_curve(rd_curve_config(probs, 3, grid)).tables["rd_curve.csv"][1]
+    # a zero-probability letter's oracle runs without that letter
+    keep = np.array(probs) > 0
+    P, rho = SourceModel(np.array(probs)[keep]), DistortionMatrix(DistortionMatrix.hamming(3).values[keep])
+    want = [blahut_arimoto_loop(P, rho, b) for b in grid]
+    assert rows == [(p.beta, p.R, p.R / math.log(2), p.D, int(p.converged)) for p in want]
+
+
 @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
 def test_ba_rejects_negative_and_non_finite_beta(beta):
     P, rho = ASYMMETRIC
@@ -318,13 +358,7 @@ def test_d0_sandwiches_d_within_tolerance():
 
 
 def test_export_curve_csv(tmp_path):
-    cfg = ExperimentConfig.from_dict({
-        "kind": "rd-curve",
-        "master_seed": 1,
-        "models": {"source": {"probs": [0.5, 0.5]}, "distortion": {"hamming": 2}},
-        "beta_grid": [0.5, 1.0, 2.0],
-    })
-    run_experiment(cfg, str(tmp_path))
+    run_experiment(rd_curve_config([0.5, 0.5], 2, [0.5, 1.0, 2.0]), str(tmp_path))
     lines = (tmp_path / "rd_curve.csv").read_text().strip().splitlines()
     assert lines[0] == "beta,R_nats,R_bits,D,converged"
     assert len(lines) == 4
@@ -338,13 +372,7 @@ def test_export_curve_csv(tmp_path):
     [0.5, 0.0, 2.0, 0.0, 0.1],  # the rate-zero end among positive slopes
 ])
 def test_rd_curve_rows_follow_the_grid(tmp_path, grid):
-    cfg = ExperimentConfig.from_dict({
-        "kind": "rd-curve",
-        "master_seed": 1,
-        "models": {"source": {"probs": [0.5, 0.3, 0.2]}, "distortion": {"hamming": 3}},
-        "beta_grid": grid,
-    })
-    run_experiment(cfg, str(tmp_path))
+    run_experiment(rd_curve_config([0.5, 0.3, 0.2], 3, grid), str(tmp_path))
     rows = (tmp_path / "rd_curve.csv").read_text().strip().splitlines()[1:]
     want = [blahut_arimoto(*ASYMMETRIC, b) for b in grid]
     assert rows == [f"{p.beta:.12g},{p.R:.12g},{p.R / math.log(2):.12g},{p.D:.12g},{int(p.converged)}" for p in want]

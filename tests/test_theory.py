@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from cayleycodec import (
     CodingDistribution,
     DistortionMatrix,
     EnergyDistribution,
     FreeEnergyLimit,
+    SourceModel,
     SymmetryError,
     beta_c,
     f_limit,
     phi,
     symmetric_energy_law,
+    verify_d0_equals_d,
 )
 from cayleycodec.theory import BETA_MAX
 
@@ -35,6 +38,44 @@ def test_log_mgf_gaussian_closed_form():
 
 def test_log_mgf_bernoulli():
     assert BERN.log_mgf(1.0) == pytest.approx(math.log((1 + math.exp(-1)) / 2), abs=1e-12)
+
+
+def scipy_log_mgf(law, beta):
+    return float(logsumexp(-beta * law.values, b=law.probs))
+
+
+def random_law(rng):
+    # one-decimal values, so several atoms tie after scaling by beta
+    k = int(rng.integers(1, 9))
+    return EnergyDistribution.discrete(np.round(rng.uniform(0.0, 3.0, k), 1), rng.dirichlet(np.ones(k)))
+
+
+def test_log_mgf_keeps_scipy_logsumexp_bits():
+    rng = np.random.default_rng(20)
+    laws = [random_law(rng) for _ in range(20_000)]
+    betas = np.exp(rng.uniform(math.log(1e-4), math.log(BETA_MAX), len(laws)))
+    betas[::100] = 0.0
+    # a single atom, and a gap whose exponent underflows the rest of the sum to 0
+    laws += [EnergyDistribution.discrete([0.7], [1.0]), EnergyDistribution.discrete([0.0, 0.1, 2.0], [0.2, 0.3, 0.5])]
+    betas = [*betas, 3.0, BETA_MAX]
+    assert math.exp(-BETA_MAX * 0.1) == 0.0
+    for law, beta in zip(laws, betas, strict=True):
+        assert law.log_mgf(float(beta)) == scipy_log_mgf(law, float(beta))
+
+
+def test_free_energy_limit_keeps_its_bits_under_scipy_log_mgf(monkeypatch):
+    rng = np.random.default_rng(21)
+    # the Hamming laws of the rd-theorem workload's applicable pairs, from the Q* verify finds, then random laws
+    rhos = [DistortionMatrix.hamming(k) for k in (2, 3, 4)]
+    laws = [symmetric_energy_law(verify_d0_equals_d(SourceModel([1 / r.rows] * r.rows), r, 2).point.Q_star, r)
+            for r in rhos]
+    cases = [(law, d) for law in laws for d in (2, 3, 4)]
+    cases += [(random_law(rng), 2 + i % 3) for i in range(200)]
+    got = [FreeEnergyLimit.for_distribution(law, d) for law, d in cases]
+    monkeypatch.setattr(EnergyDistribution, "log_mgf", scipy_log_mgf)
+    for limit, (law, d) in zip(got, cases, strict=True):
+        want = FreeEnergyLimit.for_distribution(law, d)
+        assert (limit.beta_c, limit.phi_at_beta_c) == (want.beta_c, want.phi_at_beta_c)
 
 
 def test_phi_point_mass():
