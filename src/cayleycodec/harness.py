@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +30,9 @@ from .rng import SOURCE_STREAM, uniforms
 
 # largest {start, stop, step} beta_grid, checked before it is expanded
 MAX_GRID_POINTS = 100_000
+# Largest |value| of an energy or distortion field: up to theory.BETA_MAX, (beta * value)^2 stays finite, as
+# the Gaussian's phi and beta_c search need; a path sums n < 2^64 of them and stays finite, at any n
+MAX_REAL = math.sqrt(sys.float_info.max) / theory.BETA_MAX
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -56,12 +60,15 @@ def _int(value, what: str, lo: int = 0) -> int:
     return int(value)
 
 
-def _real(value, what: str, ndim: int = 0):
-    """Finite numbers as a float, or a float64 array of lists nested ndim deep; bools and strings are refused."""
+def _real(value, what: str, ndim: int = 0, limit: float = math.inf):
+    """Finite numbers of magnitude at most limit as a float, or a float64 array of lists nested ndim deep;
+    bools and strings are refused."""
     if ndim and isinstance(value, list):
-        return np.array([_real(v, what, ndim - 1) for v in value], dtype=np.float64)
+        return np.array([_real(v, what, ndim - 1, limit) for v in value], dtype=np.float64)
     if ndim or isinstance(value, bool) or not isinstance(value, (int, float, np.number)) or not math.isfinite(value):
         raise ConfigError(f"{what}: expected {'a list of ' * ndim}finite numbers, got {value!r}")
+    if abs(value) > limit:
+        raise ConfigError(f"{what}: {value!r} is larger in magnitude than {limit:.6g}, past which the run overflows")
     return float(value)
 
 
@@ -119,7 +126,7 @@ class ExperimentConfig:
             k = _int(rho["hamming"], "hamming")
             dims = (k, k)  # checked against a pmf before the k x k matrix is built
         elif "distortion" in models:
-            cfg.distortion = DistortionMatrix(_real(rho["rows"], "distortion.rows", 2))
+            cfg.distortion = DistortionMatrix(_real(rho["rows"], "distortion.rows", 2, MAX_REAL))
             dims = cfg.distortion.values.shape
         for size, axis, name in zip(dims if rho else (), ("rows", "columns"), ("source", "coding")):
             pmf = getattr(cfg, name)
@@ -134,7 +141,8 @@ class ExperimentConfig:
                 raise ConfigError(f"energy distribution kind must be gaussian|discrete, got {law!r}")
             keys, ndim = (("mean", "std"), 0) if law == "gaussian" else (("values", "probs"), 1)
             _only(spec, ("kind", *keys), f"models.energy ({law})")
-            cfg.energy = getattr(EnergyDistribution, law)(*(_real(spec[k], f"energy.{k}", ndim) for k in keys))
+            reals = (_real(spec[k], f"energy.{k}", ndim, MAX_REAL) for k in keys)
+            cfg.energy = getattr(EnergyDistribution, law)(*reals)
 
         for name, lo in (("d", 2), ("n", 1)):
             if name in shape:

@@ -8,9 +8,9 @@ are pure, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 PROB_TOL = 1e-12
 # Distortion values closer than this are treated as a single atom when
@@ -44,10 +44,16 @@ def _validated_pmf(probs, what: str) -> np.ndarray:
     return p
 
 
-def _inverse_transform(probs: np.ndarray, u) -> np.ndarray:
+# a law's cumsum and its last letter of positive mass, built on its first draw; Pmf and EnergyDistribution share it
+_law_cdf = cached_property(lambda law: (np.cumsum(law.probs), int(np.flatnonzero(law.probs)[-1])))
+
+
+def _inverse_transform(cdf: tuple[np.ndarray, int], u) -> np.ndarray:
     """Indices drawn by inverse transform from uniforms in (0,1).  The cumsum
-    can end a rounding error below 1, so the index is clamped to the support."""
-    return np.minimum(np.searchsorted(np.cumsum(probs), np.asarray(u), side="right"), probs.size - 1)
+    can end a rounding error below 1, so the index is clamped to the last
+    letter of positive mass: a u past the cumsum never draws a zero-mass letter."""
+    cum, top = cdf
+    return np.minimum(np.searchsorted(cum, np.asarray(u), side="right"), top)
 
 
 @dataclass(frozen=True)
@@ -64,9 +70,11 @@ class Pmf:
     def alphabet_size(self) -> int:
         return self.probs.size
 
+    _cdf = _law_cdf
+
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Inverse-transform letters from uniforms in (0,1)."""
-        return _inverse_transform(self.probs, u).astype(np.int64)
+        return _inverse_transform(self._cdf, u).astype(np.int64)
 
 
 SourceModel = CodingDistribution = Pmf
@@ -153,10 +161,14 @@ class EnergyDistribution:
             raise ValueError("EnergyDistribution: Gaussian mean and std must be finite, std > 0")
         return cls(kind="gaussian", mean_param=float(mean), std_param=float(std))
 
+    _cdf = _law_cdf
+
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Inverse-transform draws from uniforms in (0,1)."""
         if self.kind == "discrete":
-            return self.values[_inverse_transform(self.probs, u)]
+            return self.values[_inverse_transform(self._cdf, u)]
+        from scipy.special import ndtri  # imported here, so that a codec process never loads scipy
+
         return self.mean_param + self.std_param * ndtri(u)
 
     def log_mgf(self, beta: float) -> float:

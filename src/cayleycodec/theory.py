@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .model import EnergyDistribution
 
 # Beyond this beta the search for a stationary point gives up and the phase
@@ -50,6 +48,8 @@ def beta_c(energy_dist: EnergyDistribution, d: int) -> float:
         hi *= 2.0
         if hi > BETA_MAX:
             return math.inf
+    from scipy.optimize import brentq  # imported here, so that a codec process never loads scipy
+
     return float(brentq(g, lo, hi, rtol=1e-12, maxiter=200))
 
 

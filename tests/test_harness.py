@@ -2,6 +2,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -16,6 +18,7 @@ from cayleycodec.harness import (
     EXIT_OK,
     EXPERIMENT_KINDS,
     MAX_GRID_POINTS,
+    MAX_REAL,
     ConfigError,
     ExperimentConfig,
     run_experiment,
@@ -857,3 +860,79 @@ def test_readme_configs_parse():
     assert blocks
     for block in blocks:
         ExperimentConfig.from_dict(json.loads(block.split("```")[0]))
+
+
+def _energy_config(kind, energy):
+    return FULL_CONFIGS[kind] | {"models": {"energy": energy}}
+
+
+def _rows_config(rows):
+    return ENCODE_X | {"models": {"coding": {"probs": [0.5, 0.5]}, "distortion": {"rows": rows}},
+                       "x": [0, 1, 0, 1, 0, 1, 0, 1]}
+
+
+@pytest.mark.parametrize("kind, raw, field", [
+    ("phase-scan", _energy_config("phase-scan", {"kind": "gaussian", "mean": 0.0, "std": 1e200}), "energy.std"),
+    ("dprm-converge", _energy_config("dprm-converge", {"kind": "gaussian", "mean": 0.0, "std": 1e300}),
+     "energy.std"),
+    ("phase-scan", _energy_config("phase-scan", {"kind": "gaussian", "mean": 1e308, "std": 1.0}), "energy.mean"),
+    ("phase-scan", _energy_config("phase-scan", {"kind": "discrete", "values": [1e305, 2e305], "probs": [0.5, 0.5]}),
+     "energy.values"),
+    ("encode", _rows_config([[0, 1e308], [1e308, 0]]), "distortion.rows"),
+])
+def test_cli_refuses_overflowing_reals_before_any_output(tmp_path, capsys, kind, raw, field):
+    # each once died in the math library or the root search, or summed a path to inf, naming no field
+    out = tmp_path / "out"
+    assert main([kind, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_real_fields_take_values_up_to_max_real():
+    top = np.nextafter(MAX_REAL, math.inf)
+    for value, ok in ((-MAX_REAL, True), (MAX_REAL, True), (top, False), (-top, False)):
+        raws = [_energy_config("phase-scan", {"kind": "gaussian", "mean": value, "std": abs(value)}),
+                _energy_config("phase-scan", {"kind": "discrete", "values": [0.0, value], "probs": [0.5, 0.5]}),
+                _rows_config([[0, abs(value)], [1, 0]])]
+        for raw in raws:
+            if ok:
+                ExperimentConfig.from_dict(raw)
+            else:
+                with pytest.raises(ConfigError, match="past which the run overflows"):
+                    ExperimentConfig.from_dict(raw)
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def _scipy_modules_after(tmp_path, runs):
+    """The scipy modules a fresh interpreter holds after cli.main ran each (kind, config, exit code) of runs."""
+    script = (
+        "import json, sys\n"
+        "from cayleycodec.cli import main\n"
+        "for kind, config, code in json.loads(sys.argv[1]):\n"
+        "    assert main([kind, '--config', config, '--out', sys.argv[2]]) == code, kind\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    runs = [(kind, write_config(tmp_path, raw, f"{k}.json"), code) for k, (kind, raw, code) in enumerate(runs)]
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path / "out")],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_codec_process_never_loads_scipy(tmp_path):
+    # scipy about triples a cold codec process's time and peak RSS; only kinds that call ndtri or brentq load it
+    not_applicable = {"models": {"source": {"probs": [0.85, 0.15]}, "distortion": {"hamming": 2}}}
+    assert _scipy_modules_after(tmp_path, [
+        ("encode", ENCODE_X, EXIT_OK),
+        ("encode", ENCODE_X | {"beam_width": 4, "bitstream": "beam.bin"}, EXIT_OK),
+        ("decode", FULL_CONFIGS["decode"] | {"bitstream": "encoded.bin"}, EXIT_OK),
+        ("rd-curve", FULL_CONFIGS["rd-curve"], EXIT_OK),
+        ("verify-theorem", FULL_CONFIGS["verify-theorem"] | not_applicable, EXIT_NOT_APPLICABLE),
+    ]) == []
+    loaded = _scipy_modules_after(tmp_path, [
+        ("dprm-converge", converge_config(), EXIT_OK),
+        ("ensemble", FULL_CONFIGS["ensemble"], EXIT_OK),
+    ])
+    assert {"scipy.special", "scipy.optimize"} <= set(loaded)

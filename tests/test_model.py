@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from cayleycodec import (
     CodingDistribution,
@@ -12,6 +13,7 @@ from cayleycodec import (
     SymmetryError,
     symmetric_energy_law,
 )
+from cayleycodec.rng import ENERGY_STREAM, uniforms
 
 
 def test_source_model_validates_and_renormalizes():
@@ -32,6 +34,34 @@ def test_pmf_sample_never_leaves_the_alphabet():
     assert list(p.sample([0.05, 0.9999999999999999])) == [0, 9]
 
 
+def test_pmf_sample_past_the_cumsum_skips_trailing_zero_mass_letters():
+    # 1 - 2^-53 is the top hashed uniform and lies past this cumsum: it draws letter 9, not the massless 10 or 11
+    top = 1.0 - 2.0**-53
+    p = Pmf([0.1] * 10 + [0.0, 0.0])
+    assert np.cumsum(p.probs)[-1] <= top
+    assert p.sample(top) == 9
+    assert list(p.sample([top, 0.05])) == [9, 0]
+
+
+def test_pmf_sample_keeps_every_other_draw():
+    # against the rule that clamped to the last letter: the same letter wherever that one has mass
+    rng = np.random.default_rng(21)
+    clamped = 0
+    for _ in range(2000):
+        k = int(rng.integers(1, 8))
+        probs = np.insert(rng.dirichlet(np.ones(k)), rng.integers(0, k + 1, int(rng.integers(0, 3))), 0.0)
+        probs = np.append(probs, [0.0] * int(rng.integers(0, 2)))
+        p = Pmf(probs)
+        cum = np.cumsum(p.probs)
+        u = np.concatenate([rng.random(32), cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), [1.0 - 2.0**-53]])
+        u = u[(u > 0.0) & (u < 1.0)]
+        before = np.minimum(np.searchsorted(cum, u, side="right"), p.alphabet_size - 1)
+        massless = p.probs[before] == 0.0
+        clamped += int(massless.sum())
+        assert np.array_equal(p.sample(u), np.where(massless, np.flatnonzero(p.probs)[-1], before))
+    assert clamped > 0
+
+
 def test_uniforms_stay_below_one(monkeypatch):
     from cayleycodec import rng
 
@@ -42,6 +72,12 @@ def test_uniforms_stay_below_one(monkeypatch):
     assert np.all(np.isfinite(EnergyDistribution.gaussian(0.0, 1.0).sample(u)))
     monkeypatch.setattr(rng, "hash64", lambda *keys: top)
     assert rng.uniforms(1, 2, 3) < 1.0
+
+
+def test_gaussian_sample_is_scipy_ndtri_bit_for_bit():
+    # sample imports ndtri on first use; its draws must stay scipy's, bit for bit
+    u = uniforms(3, ENERGY_STREAM, 0, np.arange(100_000, dtype=np.uint64))
+    assert np.array_equal(EnergyDistribution.gaussian(0.3, 1.7).sample(u), 0.3 + 1.7 * ndtri(u))
 
 
 def test_distortion_matrix_rejects_bad_entries():
