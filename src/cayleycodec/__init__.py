@@ -14,11 +14,9 @@ from .dprm import (
     walk_from_leaf,
 )
 from .model import (
-    CodingDistribution,
     DistortionMatrix,
     EnergyDistribution,
     Pmf,
-    SourceModel,
     SymmetryError,
     symmetric_energy_law,
 )

@@ -32,14 +32,10 @@ class TreeShape:
     def __post_init__(self):
         if self.d < 1 or self.n < 1:
             raise ValueError("TreeShape: need d >= 1 and n >= 1")
-        # d^n >= 2^64 rejects in O(1) before the exact count; n may come from a file
-        if (int(self.d).bit_length() - 1) * self.n >= 64 or self.num_branches >= 1 << 63:
-            raise ValueError("TreeShape: branch count does not fit in 64 bits")
-
-    @property
-    def num_branches(self) -> int:
+        # d^n >= 2^64 rejects in O(1) before the exact branch count d + ... + d^n; n may come from a file
         d, n = int(self.d), int(self.n)
-        return n if d == 1 else (d ** (n + 1) - d) // (d - 1)
+        if (d.bit_length() - 1) * n >= 64 or (n if d == 1 else (d ** (n + 1) - d) // (d - 1)) >= 1 << 63:
+            raise ValueError("TreeShape: branch count does not fit in 64 bits")
 
     @property
     def num_walks(self) -> int:

@@ -151,8 +151,10 @@ class ExperimentConfig:
 
         if "beta_grid" in raw:
             g = raw["beta_grid"]
+            # beta times a path energy overflows past BETA_MAX; rd-curve's beta scales only rho - min rho in exp(-.)
+            beta_max = math.inf if kind == "rd-curve" else theory.BETA_MAX
             if isinstance(g, list):
-                cfg.betas = _real(g, "beta_grid", 1).tolist()
+                cfg.betas = _real(g, "beta_grid", 1, beta_max).tolist()
             else:
                 _only(g, ("start", "stop", "step"), "beta_grid")
                 start, stop, step = (_real(g[k], f"beta_grid.{k}") for k in ("start", "stop", "step"))
@@ -161,7 +163,7 @@ class ExperimentConfig:
                 count = int(round((stop - start) / step)) + 1
                 if count > MAX_GRID_POINTS:
                     raise ConfigError(f"beta_grid has {count} points, more than {MAX_GRID_POINTS}")
-                _real(start + (count - 1) * step, "beta_grid's last point")  # finite bounds, yet it can overflow
+                _real(start + (count - 1) * step, "beta_grid's last point", limit=beta_max)  # finite bounds can overflow
                 cfg.betas = [start + k * step for k in range(count)]
         if any(b < 0 or (b == 0 and kind != "rd-curve") for b in cfg.betas):
             raise ConfigError("beta values must be > 0; rd-curve also takes 0, the rate-zero end of its curve")

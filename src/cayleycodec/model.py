@@ -77,6 +77,7 @@ class Pmf:
         return _inverse_transform(self._cdf, u).astype(np.int64)
 
 
+# the source and coding laws are both a Pmf; perfbench/ and the tests still use these two names
 SourceModel = CodingDistribution = Pmf
 
 
@@ -191,7 +192,7 @@ class EnergyDistribution:
         return -self.mean_param + beta * self.std_param**2
 
 
-def symmetric_energy_law(Q: CodingDistribution, rho: DistortionMatrix) -> EnergyDistribution:
+def symmetric_energy_law(Q: Pmf, rho: DistortionMatrix) -> EnergyDistribution:
     """Common law of the branch energy rho(x, Y), Y ~ Q, over every source
     letter x: the hypothesis under which the tree-code ensemble meets the
     distortion-rate function.  Each row's merged value->mass map must match

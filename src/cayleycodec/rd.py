@@ -14,9 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import model
-from .model import (
-    CodingDistribution, DistortionMatrix, SourceModel, SymmetryError, symmetric_energy_law
-)
+from .model import DistortionMatrix, Pmf, SymmetryError, symmetric_energy_law
 from .theory import BETA_MAX, FreeEnergyLimit
 
 # rate accuracy (nats) of the slope bisection in verify_d0_equals_d
@@ -39,8 +37,8 @@ class RDPoint:
     converged: bool
 
     @cached_property
-    def Q_star(self) -> CodingDistribution:
-        return CodingDistribution(self.q)
+    def Q_star(self) -> Pmf:
+        return Pmf(self.q)
 
 
 def _ba_updates(p: np.ndarray, expm: np.ndarray, grid: np.ndarray):
@@ -75,7 +73,7 @@ def _ba_updates(p: np.ndarray, expm: np.ndarray, grid: np.ndarray):
     return qs, its, converged
 
 
-def blahut_arimoto_curve(P: SourceModel, rho: DistortionMatrix, betas) -> list[RDPoint]:
+def blahut_arimoto_curve(P: Pmf, rho: DistortionMatrix, betas) -> list[RDPoint]:
     """The rate-distortion curve at the Lagrangian slopes betas, one point
     per slope in the given order.
 
@@ -117,7 +115,7 @@ def blahut_arimoto_curve(P: SourceModel, rho: DistortionMatrix, betas) -> list[R
         betas, rates.tolist(), distortions.tolist(), qs, its.tolist(), converged.tolist())]
 
 
-def blahut_arimoto(P: SourceModel, rho: DistortionMatrix, beta: float) -> RDPoint:
+def blahut_arimoto(P: Pmf, rho: DistortionMatrix, beta: float) -> RDPoint:
     """One point of the rate-distortion curve at Lagrangian slope beta."""
     return blahut_arimoto_curve(P, rho, [beta])[0]
 
@@ -149,7 +147,7 @@ class TheoremReport:
         return self.applicable and self.gap <= D0_TOL
 
 
-def _solve_beta_for_rate(P: SourceModel, rho: DistortionMatrix, r_target: float) -> tuple[RDPoint, bool]:
+def _solve_beta_for_rate(P: Pmf, rho: DistortionMatrix, r_target: float) -> tuple[RDPoint, bool]:
     """Bisect the slope so the Blahut-Arimoto rate hits r_target within R_TOL.
 
     R(beta) is nondecreasing, so plain bisection on an expandable bracket is
@@ -176,7 +174,7 @@ def _solve_beta_for_rate(P: SourceModel, rho: DistortionMatrix, r_target: float)
     return point, False
 
 
-def verify_d0_equals_d(P: SourceModel, rho: DistortionMatrix, d: int) -> TheoremReport:
+def verify_d0_equals_d(P: Pmf, rho: DistortionMatrix, d: int) -> TheoremReport:
     """End-to-end theorem check at rate R = ln d.
 
     Finds the slope where the rate-distortion curve has rate ln d, takes the

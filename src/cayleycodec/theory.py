@@ -48,9 +48,12 @@ def beta_c(energy_dist: EnergyDistribution, d: int) -> float:
         hi *= 2.0
         if hi > BETA_MAX:
             return math.inf
+    while g(lo) > 0.0:  # beta_c < lo; g -> -ln d as beta -> 0, so halving ends
+        lo, hi = lo / 2, lo
     from scipy.optimize import brentq  # imported here, so that a codec process never loads scipy
 
-    return float(brentq(g, lo, hi, rtol=1e-12, maxiter=200))
+    # brentq's default xtol (2e-12) at lo = 1e-8, scaled with lo so that a tiny beta_c keeps its digits
+    return float(brentq(g, lo, hi, xtol=2e-12 * (lo / 1e-8), rtol=1e-12, maxiter=200))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ ground state of a directed polymer whose branch energies are
 rho(x_t, Y_branch).  The walk is shipped as its leaf index j_n, which fixes
 the whole path, and the decoder reads every letter off that one index.
 
-The exact encoder prunes trees of PRUNE_MIN_LEAVES leaves and more (smaller
-ones take the full tree_sweep, faster there): B is the total of one
-width-min(8, d^(n-1)) beam sweep, and a top-down sweep keeps, in leaf order,
-the children whose partial sum is <= B.  As rho >= 0 and adding a float >= 0
+The exact encoder is one top-down sweep that keeps, in leaf order, the
+children whose partial sum is <= B.  From PRUNE_MIN_LEAVES leaves up, B is the
+total of one width-min(8, d^(n-1)) beam sweep; below, B = inf and every child
+is kept, so the sweep is the full tree's.  As rho >= 0 and adding a float >= 0
 never lowers a float sum, every minimising leaf keeps its ancestors <= B, so
 the first argmin left is the full sweep's walk and left-to-right total.
 """
@@ -25,13 +25,13 @@ import numpy as np
 
 from . import model
 from .dprm import MonteCarloStats, TreeShape, run_trials, tree_sweep, validate_walk, walk_from_leaf
-from .model import CodingDistribution, DistortionMatrix, SourceModel
+from .model import DistortionMatrix, Pmf
 from .rng import CODEBOOK_STREAM, SOURCE_STREAM, uniforms
 
 _MAGIC = b"CAYCODE1"
 _HEADER = struct.Struct(">8sIIQ")  # magic, d, n, master_seed: 24 bytes
 HEADER_SIZE = _HEADER.size
-# encode_exact sweeps a tree of fewer leaves whole: there the bound pass costs more than it prunes
+# encode_exact bounds no tree of fewer leaves: there the bound pass costs more than it prunes
 PRUNE_MIN_LEAVES = 1 << 14
 # bytes a tree search may ask for: half of physical memory
 MEMORY_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
@@ -50,19 +50,13 @@ class TreeCode:
     """
 
     master_seed: int | np.ndarray
-    coding_dist: CodingDistribution
+    coding_dist: Pmf
     shape: TreeShape
 
     def _symbols_at(self, t, j) -> np.ndarray:
         """Letters on branches (t, j); t and j broadcast against each other."""
         u = uniforms(self.master_seed, CODEBOOK_STREAM, t, j)
         return self.coding_dist.sample(u)
-
-    def generation_symbols(self, t: int) -> np.ndarray:
-        """All d^t reproduction letters of generation t, vectorized."""
-        if not (1 <= t <= self.shape.n):
-            raise ValueError(f"generation {t} out of range 1..{self.shape.n}")
-        return self._symbols_at(t, np.arange(self.shape.d**t, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -95,14 +89,13 @@ def encode_exact(code: TreeCode, x, rho: DistortionMatrix) -> EncodingResult:
 
     This is the ground state of the induced directed-polymer instance; the
     identification is exact, including the tie-break rule.  Raises ValueError
-    before a pruned generation (module docstring) grows past MAX_CHILDREN paths.
+    before a generation of the sweep (module docstring) grows past MAX_CHILDREN paths.
     """
     x = _check_source_tuple(code, x, rho)
     d, n = code.shape.d, code.shape.n
-    if code.shape.num_walks < PRUNE_MIN_LEAVES:
-        sweep = tree_sweep(lambda t: rho.values[x[t - 1]][code.generation_symbols(t)], code.shape)
-        return EncodingResult(sweep.walk, sweep.min_energy)
-    bound = _beam_sweep(code, x, rho, np.array([min(8, d ** (n - 1))]))[1][0]
+    bound = np.inf
+    if code.shape.num_walks >= PRUNE_MIN_LEAVES:
+        bound = _beam_sweep(code, x, rho, np.array([min(8, d ** (n - 1))]))[1][0]
     idx, dist = np.zeros(1, dtype=np.uint64), np.zeros(1)  # survivors in leaf order, partial sums
     for t in range(1, n + 1):
         if idx.size * d > MAX_CHILDREN:
@@ -256,8 +249,8 @@ def read_bitstream(path) -> tuple[int, int, int, Bitstream]:
 
 
 def simulate_ensemble(
-    source: SourceModel,
-    Q: CodingDistribution,
+    source: Pmf,
+    Q: Pmf,
     rho: DistortionMatrix,
     d: int,
     n: int,
@@ -285,7 +278,8 @@ def simulate_ensemble(
         x = _check_source_tuple(codes, x, rho, ts.shape)
         if shape.num_walks >= PRUNE_MIN_LEAVES:
             return [encode_exact(TreeCode(seed, Q, shape), row, rho).per_symbol_mean for seed, row in zip(seeds, x)]
-        return tree_sweep(lambda t: rho.values[x[:, t - 1, None], codes.generation_symbols(t)], shape).min_energy / n
+        symbols = lambda t: codes._symbols_at(t, np.arange(d**t, dtype=np.uint64))  # generation t, one code a row
+        return tree_sweep(lambda t: rho.values[x[:, t - 1, None], symbols(t)], shape).min_energy / n
 
     return run_trials(lambda ts, seeds: np.concatenate([block(ts[k : k + size], seeds[k : k + size])
                                                         for k in range(0, trials, size)]), trials, master_seed)

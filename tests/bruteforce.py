@@ -61,10 +61,17 @@ def oracle_energies(oracle):
     return {i: oracle.generation_energies(i) for i in range(1, oracle.shape.n + 1)}
 
 
+def generation_symbols(code, t):
+    """All d^t reproduction letters of generation t of a tree code."""
+    if not (1 <= t <= code.shape.n):
+        raise ValueError(f"generation {t} out of range 1..{code.shape.n}")
+    return code._symbols_at(t, np.arange(code.shape.d**t, dtype=np.uint64))
+
+
 def code_energies(code, x, rho):
     """Branch energies induced by a tree code on a fixed source tuple."""
     return {
-        t: rho.values[x[t - 1]][code.generation_symbols(t)]
+        t: rho.values[x[t - 1]][generation_symbols(code, t)]
         for t in range(1, code.shape.n + 1)
     }
 

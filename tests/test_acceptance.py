@@ -20,10 +20,8 @@ from bruteforce import (
 from exact_laws import gaussian_mean_free_energy, tree_minimum_moments
 from cayleycodec import (
     BranchEnergyOracle,
-    CodingDistribution,
     DistortionMatrix,
     EnergyDistribution,
-    SourceModel,
     TreeCode,
     TreeShape,
     beta_c,
@@ -40,6 +38,7 @@ from cayleycodec import (
     unpack,
     verify_d0_equals_d,
 )
+from cayleycodec.model import CodingDistribution, SourceModel
 from cayleycodec.harness import EXIT_OK, ExperimentConfig, run_experiment
 from cayleycodec.theory import FreeEnergyLimit
 

@@ -41,7 +41,9 @@ def test_tree_shape_validation():
         TreeShape(d=2, n=0)
     with pytest.raises(ValueError):
         TreeShape(d=2, n=64)
-    assert TreeShape(d=2, n=3).num_branches == 14
+    TreeShape(d=2, n=62)  # 2^63 - 2 branches
+    with pytest.raises(ValueError):
+        TreeShape(d=2, n=63)  # 2^64 - 2 branches
     assert TreeShape(d=2, n=3).num_walks == 8
 
 
@@ -51,7 +53,7 @@ def test_tree_shape_bound_matches_branch_sum():
         for n in range(1, 70):
             total = sum(d**i for i in range(1, n + 1))
             if total < 1 << 63:
-                assert TreeShape(d=d, n=n).num_branches == total
+                TreeShape(d=d, n=n)
             else:
                 with pytest.raises(ValueError):
                     TreeShape(d=d, n=n)

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleycodec import decode_sequential, read_bitstream, TreeCode, TreeShape, CodingDistribution, DistortionMatrix
+from cayleycodec import decode_sequential, read_bitstream, TreeCode, TreeShape, DistortionMatrix
+from cayleycodec.model import CodingDistribution
 from cayleycodec.cli import main
+from cayleycodec.theory import BETA_MAX
 from cayleycodec.harness import (
     EXIT_NOT_APPLICABLE,
     EXIT_OK,
@@ -879,9 +881,15 @@ def _rows_config(rows):
     ("phase-scan", _energy_config("phase-scan", {"kind": "discrete", "values": [1e305, 2e305], "probs": [0.5, 0.5]}),
      "energy.values"),
     ("encode", _rows_config([[0, 1e308], [1e308, 0]]), "distortion.rows"),
+    ("dprm-converge", _energy_config("dprm-converge", {"kind": "discrete", "values": [-1e150, 1e150],
+                                                       "probs": [0.5, 0.5]}) | {"beta_grid": [1e300]}, "beta_grid"),
+    ("phase-scan", _energy_config("phase-scan", {"kind": "discrete", "values": [1e150, 1.3e150], "probs": [0.5, 0.5]})
+     | {"beta_grid": [1e300, 2e300, 3e300]}, "beta_grid"),
+    ("dprm-converge", converge_config(beta_grid={"start": 1e3, "stop": 2e4, "step": 1e3}), "beta_grid's last point"),
 ])
 def test_cli_refuses_overflowing_reals_before_any_output(tmp_path, capsys, kind, raw, field):
-    # each once died in the math library or the root search, or summed a path to inf, naming no field
+    # each once died in the math library or the root search, summed a path to inf, or wrote inf and nan rows
+    # with exit 0, naming no field
     out = tmp_path / "out"
     assert main([kind, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
     assert f"error: {field}: " in capsys.readouterr().err
@@ -900,6 +908,26 @@ def test_real_fields_take_values_up_to_max_real():
             else:
                 with pytest.raises(ConfigError, match="past which the run overflows"):
                     ExperimentConfig.from_dict(raw)
+
+
+def test_beta_grid_takes_values_up_to_beta_max():
+    # beta times an energy overflows past BETA_MAX; rd-curve's beta scales only rho - min rho inside exp(-.)
+    for kind in ("dprm-converge", "phase-scan"):
+        assert ExperimentConfig.from_dict(FULL_CONFIGS[kind] | {"beta_grid": [1.0, 2.0, BETA_MAX]}).betas[-1] == BETA_MAX
+        with pytest.raises(ConfigError, match="beta_grid: "):
+            ExperimentConfig.from_dict(FULL_CONFIGS[kind] | {"beta_grid": [1.0, 2.0, np.nextafter(BETA_MAX, 1e5)]})
+    assert ExperimentConfig.from_dict(FULL_CONFIGS["rd-curve"] | {"beta_grid": [0.0, 1e300]}).betas == [0.0, 1e300]
+
+
+def test_cli_phase_scan_finds_a_beta_c_below_1e_8(tmp_path):
+    # Gaussian std 1e9 puts beta_c near 1.18e-9, below where the root search's bracket starts
+    raw = _energy_config("phase-scan", {"kind": "gaussian", "mean": 0.0, "std": 1e9})
+    raw |= {"beta_grid": [k * 1e-10 for k in range(1, 25)]}
+    out = tmp_path / "out"
+    assert main(["phase-scan", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+    summary = json.loads((out / "phase_scan_summary.json").read_text())
+    assert summary["transition"] == "DETECTED"
+    assert summary["beta_c"] == pytest.approx(math.sqrt(2 * math.log(2)) / 1e9, rel=1e-5)
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")

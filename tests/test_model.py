@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from cayleycodec import (
-    CodingDistribution,
     Pmf,
     DistortionMatrix,
     EnergyDistribution,
-    SourceModel,
     SymmetryError,
     symmetric_energy_law,
 )
+from cayleycodec.model import CodingDistribution, SourceModel
 from cayleycodec.rng import ENERGY_STREAM, uniforms
 
 

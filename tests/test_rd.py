@@ -7,15 +7,14 @@ import pytest
 from bruteforce import blahut_arimoto_loop
 
 from cayleycodec import (
-    CodingDistribution,
     DistortionMatrix,
-    SourceModel,
     SymmetryError,
     blahut_arimoto,
     blahut_arimoto_curve,
     symmetric_energy_law,
     verify_d0_equals_d,
 )
+from cayleycodec.model import CodingDistribution, SourceModel
 from cayleycodec import model, rd
 from cayleycodec.harness import ExperimentConfig, run_experiment, run_rd_curve
 from cayleycodec.theory import BETA_MAX

@@ -5,11 +5,9 @@ import pytest
 from scipy.special import logsumexp
 
 from cayleycodec import (
-    CodingDistribution,
     DistortionMatrix,
     EnergyDistribution,
     FreeEnergyLimit,
-    SourceModel,
     SymmetryError,
     beta_c,
     f_limit,
@@ -17,6 +15,7 @@ from cayleycodec import (
     symmetric_energy_law,
     verify_d0_equals_d,
 )
+from cayleycodec.model import CodingDistribution, SourceModel
 from cayleycodec.theory import BETA_MAX
 
 GAUSS = EnergyDistribution.gaussian(0.0, 1.0)
@@ -108,6 +107,13 @@ def test_beta_c_gaussian_analytic():
     assert beta_c(EnergyDistribution.gaussian(3.0, 2.0), 5) == pytest.approx(
         math.sqrt(2 * math.log(5)) / 2.0, rel=1e-10
     )
+
+
+@pytest.mark.parametrize("std", [1e9, 1e100])
+def test_beta_c_below_the_bracket_start(std):
+    # beta_c lies below the bracket's first low end, 1e-8, which halves until phi' changes sign
+    expected = math.sqrt(2 * math.log(2)) / std
+    assert beta_c(EnergyDistribution.gaussian(0.0, std), 2) == pytest.approx(expected, rel=1e-5)
 
 
 def test_beta_c_bernoulli_half_is_infinite():

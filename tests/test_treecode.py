@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from bruteforce import beam_pass, beam_sweep_lexsort, code_energies, enumerate_ground_state, simulate_ensemble_loop
+from bruteforce import (
+    beam_pass, beam_sweep_lexsort, code_energies, enumerate_ground_state, generation_symbols, simulate_ensemble_loop
+)
 from exact_laws import tree_minimum_moments, tree_minimum_pmf
 from cayleycodec import (
     Bitstream,
-    CodingDistribution,
     FreeEnergyLimit,
     DistortionMatrix,
-    SourceModel,
     SymmetryError,
     TreeCode,
     TreeShape,
@@ -34,6 +34,7 @@ from cayleycodec import (
     walk_from_leaf,
     write_bitstream,
 )
+from cayleycodec.model import CodingDistribution, SourceModel
 from cayleycodec import model, treecode
 from cayleycodec.cli import main
 from cayleycodec.dprm import tree_sweep
@@ -50,25 +51,19 @@ def make_code(seed, d, n, Q=Q4):
 
 def test_codeword_symbol_deterministic():
     code = make_code(5, 2, 6)
-    assert code.generation_symbols(4)[9] == code.generation_symbols(4)[9]
+    assert generation_symbols(code, 4)[9] == generation_symbols(code, 4)[9]
 
 
 def test_codeword_symbol_point_mass_q():
     code = make_code(5, 2, 4, CodingDistribution([0.0, 1.0, 0.0]))
     for t in range(1, 5):
-        assert code.generation_symbols(t)[0] == 1
-
-
-def test_codeword_symbol_range_checks():
-    code = make_code(5, 2, 3)
-    with pytest.raises(ValueError):
-        code.generation_symbols(0)
+        assert generation_symbols(code, t)[0] == 1
 
 
 def test_codeword_symbol_frequencies():
     probs = [0.5, 0.3, 0.2]
     code = make_code(17, 2, 17, CodingDistribution(probs))
-    sym = code.generation_symbols(17)[:100_000]
+    sym = generation_symbols(code, 17)[:100_000]
     for letter, p in enumerate(probs):
         assert abs((sym == letter).mean() - p) < 0.01
 
@@ -77,7 +72,7 @@ def test_encode_exact_n1_is_argmin():
     code = make_code(3, 4, 1)
     x = [2]
     res = encode_exact(code, x, HAMMING4)
-    dists = [HAMMING4.values[2, code.generation_symbols(1)[j]] for j in range(4)]
+    dists = [HAMMING4.values[2, generation_symbols(code, 1)[j]] for j in range(4)]
     assert res.total_distortion == min(dists)
     assert res.walk[0] == int(np.argmin(dists))
 
@@ -110,7 +105,7 @@ def test_encode_exact_is_dprm_ground_state():
         res = encode_exact(code, x, HAMMING4)
 
         def energy_fn(t):
-            return HAMMING4.values[x[t - 1]][code.generation_symbols(t)]
+            return HAMMING4.values[x[t - 1]][generation_symbols(code, t)]
 
         sweep = tree_sweep(energy_fn, TreeShape(2, 6))
         walk, emin = sweep.walk, sweep.min_energy
@@ -198,7 +193,7 @@ def test_encode_exact_not_worse_than_fixed_walk():
         res = encode_exact(code, x, HAMMING4)
         zeros_walk = walk_from_leaf(0, code.shape)
         witness = sum(
-            HAMMING4.values[x[t - 1], code.generation_symbols(t)[int(zeros_walk[t - 1])]]
+            HAMMING4.values[x[t - 1], generation_symbols(code, t)[int(zeros_walk[t - 1])]]
             for t in range(1, 7)
         )
         assert res.total_distortion <= witness + 1e-12
@@ -212,7 +207,7 @@ def test_beam_m1_is_greedy():
     walk = []
     for t in range(1, 6):
         kids = [2 * j + r for r in range(2)]
-        costs = [HAMMING4.values[x[t - 1], code.generation_symbols(t)[k]] for k in kids]
+        costs = [HAMMING4.values[x[t - 1], generation_symbols(code, t)[k]] for k in kids]
         j = kids[int(np.argmin(costs))]
         walk.append(j)
     assert list(res.walk) == walk
@@ -329,25 +324,29 @@ def test_exact_draws_each_generation_once(monkeypatch):
     monkeypatch.setattr(treecode, "uniforms", lambda *keys: calls.append(keys) or real(*keys))
     encode_exact(make_code(8, 2, 10), np.arange(10) % 4, HAMMING4)
     assert [keys[2] for keys in calls] == list(range(1, 11))  # generations 1..n, none after the sweep
+    assert [np.size(keys[3]) for keys in calls] == [2**t for t in range(1, 11)]  # below the cutoff, no bound
 
 
 def full_sweep(code, x, rho):
     """(walk, total) of one tree_sweep over all d^n leaves: the oracle for the pruned search."""
-    sweep = tree_sweep(lambda t: rho.values[x[t - 1]][code.generation_symbols(t)], code.shape)
+    sweep = tree_sweep(lambda t: rho.values[x[t - 1]][generation_symbols(code, t)], code.shape)
     return list(sweep.walk), sweep.min_energy
 
 
 @pytest.mark.parametrize("d, n", [(2, 1), (5, 3), (2, 8), (2, 14), (2, 15), (3, 9), (4, 7), (2, 16)])
 def test_pruned_exact_equals_full_sweep(monkeypatch, d, n):
-    monkeypatch.setattr(treecode, "PRUNE_MIN_LEAVES", 1)  # every tree takes the pruned path
+    default = treecode.PRUNE_MIN_LEAVES
     rng = np.random.default_rng(100 * d + n)
     for case in range(24):
         k = int(rng.integers(2, 6))
         rho = random_rho(rng, k, case)
         code = TreeCode(int(rng.integers(2**32)), CodingDistribution(rng.dirichlet(np.ones(k))), TreeShape(d, n))
         x = rng.integers(0, rho.rows, n)
-        res = encode_exact(code, x, rho)
-        assert (list(res.walk), res.total_distortion) == full_sweep(code, x, rho)
+        # every tree bounded by the beam, then the default cutoff: below it the search keeps every child
+        for cutoff in (1, default):
+            monkeypatch.setattr(treecode, "PRUNE_MIN_LEAVES", cutoff)
+            res = encode_exact(code, x, rho)
+            assert (list(res.walk), res.total_distortion) == full_sweep(code, x, rho)
 
 
 def test_pruned_exact_keeps_the_left_to_right_total_and_the_tie_break(monkeypatch):
@@ -488,14 +487,14 @@ def test_decode_single_step():
     code = make_code(2, 4, 1)
     res = encode_exact(code, [1], HAMMING4)
     out = decode_sequential(code, pack(res.walk, 4))
-    assert out[0] == code.generation_symbols(1)[int(res.walk[0])]
+    assert out[0] == generation_symbols(code, 1)[int(res.walk[0])]
 
 
 def test_decode_matches_independent_recomputation():
     code = make_code(31, 2, 5)
     res = encode_exact(code, [0, 1, 2, 3, 0], HAMMING4)
     stream = pack(res.walk, 2)
-    recomputed = [code.generation_symbols(t)[int(res.walk[t - 1])] for t in range(1, 6)]
+    recomputed = [generation_symbols(code, t)[int(res.walk[t - 1])] for t in range(1, 6)]
     assert list(decode_sequential(code, stream)) == recomputed
 
 
