@@ -30,6 +30,8 @@ from .rng import SOURCE_STREAM, uniforms
 
 # largest {start, stop, step} beta_grid, checked before it is expanded
 MAX_GRID_POINTS = 100_000
+# widest effective beam, min(beam_width, d^(n-1)), an encode may ask for: 3.4-4.2 s at (2, 61) Hamming-4 on 2 vCPUs
+MAX_BEAM_WIDTH = 2048
 # Largest |value| of an energy or distortion field: up to theory.BETA_MAX, (beta * value)^2 stays finite, as
 # the Gaussian's phi and beta_c search need; a path sums n < 2^64 of them and stays finite, at any n
 MAX_REAL = math.sqrt(sys.float_info.max) / theory.BETA_MAX
@@ -183,6 +185,10 @@ class ExperimentConfig:
         for name in required + (("source",) if kind == "encode" and cfg.x is None else ()):
             if getattr(cfg, name) in (None, []):
                 raise ConfigError(f"{kind}: config field {name!r} is required")
+        # the beam's work grows 3-5x per doubling of its width; d^64 > beam_width, so this min is that width
+        width = min(cfg.beam_width, cfg.d ** min(cfg.n - 1, 64)) if cfg.beam_width else 0
+        if width > MAX_BEAM_WIDTH:
+            raise ConfigError(f"beam_width: a beam {width} wide, min(beam_width, d^(n-1)), exceeds {MAX_BEAM_WIDTH}")
         # a full-tree sweep to level n peaks near 36 d^n bytes; n > 64 (d^n > 2^64) is refused before d^n is computed
         n = max(cfg.n_list, default=0)
         if kind == "dprm-converge" and (n > 64 or 36 * cfg.d**n > treecode.MEMORY_BUDGET):

@@ -11,7 +11,7 @@ D0 = -phi(beta_c) with branch energies rho(x, Y), Y ~ Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import EnergyDistribution
 
@@ -40,8 +40,11 @@ def beta_c(energy_dist: EnergyDistribution, d: int) -> float:
     """
     if d < 2:
         raise ValueError(f"d={d}: the Cayley-tree limit needs d >= 2")
+    # g is shift-invariant; on the law moved to 0 a large offset does not cancel in b * M'(b) - M(b)
+    law = (replace(energy_dist, mean_param=0.0) if energy_dist.kind == "gaussian"
+           else replace(energy_dist, values=energy_dist.values - energy_dist.values[0]))
     # numerator of phi'(beta); its sign change from - to + locates the minimizer
-    g = lambda b: b * energy_dist.log_mgf_prime(b) - math.log(d) - energy_dist.log_mgf(b)
+    g = lambda b: b * law.log_mgf_prime(b) - math.log(d) - law.log_mgf(b)
     lo = 1e-8
     hi = 1.0
     while g(hi) <= 0.0:

@@ -17,6 +17,7 @@ the first argmin left is the full sweep's walk and left-to-right total.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -109,28 +110,27 @@ def encode_exact(code: TreeCode, x, rho: DistortionMatrix) -> EncodingResult:
 
 
 def _beam_sweep(code: TreeCode, x: np.ndarray, rho: DistortionMatrix, widths: np.ndarray) -> tuple[list, list]:
-    """M-algorithm sweeps of ascending widths, one row each; row w keeps its
-    first w survivors and pads the rest with distortion inf, so it sums and
-    sorts exactly as a lone width-w sweep.  A row holds its survivors in
-    ascending leaf index, so their children come in leaf order and one stable
-    sort ranks them by (distortion, leaf).  Returns (best leaves, distortions)."""
+    """M-algorithm sweeps of ascending widths, one row each, on one pool of
+    distinct nodes: a partial sum depends only on its path, so each generation
+    draws the pool's children once, in leaf order, and one stable sort ranks
+    them by (distortion, leaf).  Row w keeps the first w of its members in that
+    ranking, as a lone width-w sweep does.  Returns (best leaves, distortions)."""
     d, n = code.shape.d, code.shape.n
-    surv_idx = np.zeros((widths.size, 1), dtype=np.int64)  # node indices at generation t-1
-    surv_dist = np.zeros((widths.size, 1))
+    pool, dist = np.zeros(1, dtype=np.uint64), np.zeros(1)  # union of the rows' survivors in leaf order, partial sums
+    member = np.ones((widths.size, 1), dtype=bool)  # member[r, k]: row r holds pool node k
     for t in range(1, n + 1):
-        cand = (d * surv_idx[:, :, None] + np.arange(d, dtype=np.int64)).reshape(widths.size, -1)
-        dist = np.repeat(surv_dist, d, axis=1)
-        live = dist < np.inf
-        dist[live] += rho.values[x[t - 1]][code._symbols_at(t, cand[live].astype(np.uint64))]
-        cols = cand.shape[1]
-        order = np.argsort(dist, axis=-1, kind="stable")[:, : widths[-1]]
-        pad = np.arange(order.shape[1]) >= widths[:, None]
-        if t < n:  # kept ranks back in leaf order, ahead of the padding, so pad still marks the padding
-            order = np.sort(np.where(pad, order + cols, order)) % cols
-        flat = order + cols * np.arange(widths.size)[:, None]
-        surv_idx, surv_dist = cand.ravel()[flat], dist.ravel()[flat]
-        surv_dist[pad] = np.inf
-    return surv_idx[:, 0].tolist(), surv_dist[:, 0].tolist()
+        pool = (d * pool[:, None] + np.arange(d, dtype=np.uint64)).ravel()
+        dist = np.repeat(dist, d) + rho.values[x[t - 1]][code._symbols_at(t, pool)]
+        order = np.argsort(dist, kind="stable")
+        ranked = member[:, order // d]  # child k of the pool is a child of pool node k // d
+        if t == n:
+            win = order[ranked.argmax(axis=1)]  # each row's first member in the ranking
+            return pool[win].tolist(), dist[win].tolist()
+        ranked &= np.cumsum(ranked, axis=1) <= widths[:, None]
+        member = np.empty_like(ranked)
+        member[:, order] = ranked
+        keep = member.any(axis=0)
+        pool, dist, member = pool[keep], dist[keep], member[:, keep]
 
 
 def encode_beam(code: TreeCode, x, rho: DistortionMatrix, M: int) -> EncodingResult:
@@ -141,16 +141,16 @@ def encode_beam(code: TreeCode, x, rho: DistortionMatrix, M: int) -> EncodingRes
     the narrow beam's eventual winner), so the result is the least
     (distortion, leaf) pair over sweeps of every width 1..M, compared exactly
     as the sweeps rank paths; total_distortion is that pair's left-to-right
-    sum, nonincreasing in M by construction.  All widths run as rows of one
-    batched sweep, in blocks of at most model.BLOCK_CELLS sort cells to cap
-    memory.  Distortion is >= the exact encoder's; equal once M >= d^(n-1),
-    where the widest sweep is exhaustive.
+    sum, nonincreasing in M by construction.  All widths share one node pool;
+    blocks of isqrt(model.BLOCK_CELLS / (W d)) rows, at least one, keep its rows
+    x children membership matrix (<= d * sum(widths) columns) within BLOCK_CELLS.
+    Distortion is >= the exact encoder's; equal once M >= d^(n-1).
     """
     if M < 1:
         raise ValueError("beam width M must be >= 1")
     x = _check_source_tuple(code, x, rho)
     W = min(M, code.shape.d ** (code.shape.n - 1))
-    rows = max(1, model.BLOCK_CELLS // (W * code.shape.d))  # a block has at least one row
+    rows = max(1, math.isqrt(model.BLOCK_CELLS // (W * code.shape.d)))
     dist, leaf = min((dist, leaf) for lo in range(1, W + 1, rows)
                      for leaf, dist in zip(*_beam_sweep(code, x, rho, np.arange(lo, min(lo + rows, W + 1)))))
     return EncodingResult(walk_from_leaf(leaf, code.shape), dist)

@@ -19,6 +19,7 @@ from cayleycodec.harness import (
     EXIT_NOT_APPLICABLE,
     EXIT_OK,
     EXPERIMENT_KINDS,
+    MAX_BEAM_WIDTH,
     MAX_GRID_POINTS,
     MAX_REAL,
     ConfigError,
@@ -964,3 +965,25 @@ def test_codec_process_never_loads_scipy(tmp_path):
         ("ensemble", FULL_CONFIGS["ensemble"], EXIT_OK),
     ])
     assert {"scipy.special", "scipy.optimize"} <= set(loaded)
+
+
+def test_beam_width_is_capped_where_the_beam_would_run_wider(tmp_path, capsys):
+    # the beam runs min(beam_width, d^(n-1)) wide; past MAX_BEAM_WIDTH its work would run for minutes to hours
+    deep = ENCODE_X | {"shape": {"d": 2, "n": 61}, "x": [0] * 61}
+    assert ExperimentConfig.from_dict(deep | {"beam_width": MAX_BEAM_WIDTH}).beam_width == MAX_BEAM_WIDTH
+    out = tmp_path / "out"
+    assert main(["encode", "--config", write_config(tmp_path, deep | {"beam_width": MAX_BEAM_WIDTH + 1}),
+                 "--out", str(out)]) == 1
+    assert f"error: beam_width: a beam {MAX_BEAM_WIDTH + 1} wide" in capsys.readouterr().err
+    assert not out.exists()
+    # d^(n-1) = 2048 at (2, 12), so any width runs 2048 wide; at (2, 13) it runs 4096 wide, at (2^63, 2^63) 2^64 - 1
+    wide = ENCODE_X | {"shape": {"d": 2, "n": 12}, "x": [0] * 12, "beam_width": 2**64 - 1}
+    assert ExperimentConfig.from_dict(wide).beam_width == 2**64 - 1
+    for shape, width in (({"d": 2, "n": 13}, 4096), ({"d": 2**63, "n": 2**63}, 2**64 - 1)):
+        with pytest.raises(ConfigError, match=f"beam_width: a beam {width} wide"):
+            ExperimentConfig.from_dict(wide | {"shape": shape})
+    # a huge width on a small tree runs the exhaustive beam, which is the exact encoder
+    raw = ENCODE_X | {"beam_width": 2**64 - 1, "bitstream": "beam.bin"}
+    assert main(["encode", "--config", write_config(tmp_path, raw), "--out", str(out)]) == EXIT_OK
+    assert main(["encode", "--config", write_config(tmp_path, ENCODE_X), "--out", str(tmp_path / "exact")]) == EXIT_OK
+    assert (out / "beam.bin").read_bytes() == (tmp_path / "exact" / "encoded.bin").read_bytes()

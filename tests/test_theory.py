@@ -16,6 +16,7 @@ from cayleycodec import (
     verify_d0_equals_d,
 )
 from cayleycodec.model import CodingDistribution, SourceModel
+from cayleycodec import theory
 from cayleycodec.theory import BETA_MAX
 
 GAUSS = EnergyDistribution.gaussian(0.0, 1.0)
@@ -114,6 +115,32 @@ def test_beta_c_below_the_bracket_start(std):
     # beta_c lies below the bracket's first low end, 1e-8, which halves until phi' changes sign
     expected = math.sqrt(2 * math.log(2)) / std
     assert beta_c(EnergyDistribution.gaussian(0.0, std), 2) == pytest.approx(expected, rel=1e-5)
+
+
+@pytest.mark.parametrize("offset", [1e10, 1e15, 1e17, -1e17, 1e150])
+def test_beta_c_ignores_an_energy_offset(offset):
+    # phi' is shift-invariant; b M'(b) - M(b) on the raw law cancelled terms of size b * offset (1.3567 at 1e15)
+    assert beta_c(EnergyDistribution.gaussian(offset, 1.0), 2) == beta_c(GAUSS, 2)
+    # values the offset moves exactly: [1e15, 1e15 + 1, 1e15 + 3] and 2^60 + [0, 2^10, 3 * 2^10]
+    for scale, shift in ((1.0, abs(offset) % 2**52), (2.0**10, 2.0**60)):
+        values, probs = scale * np.array([0.0, 1.0, 3.0]), [0.125, 0.5, 0.375]
+        for d in (2, 3):
+            assert beta_c(EnergyDistribution.discrete(values + shift, probs), d) == beta_c(
+                EnergyDistribution.discrete(values, probs), d)
+
+
+def test_beta_c_keeps_its_bits_on_laws_at_zero(monkeypatch):
+    # a Gaussian of mean 0 and a discrete law whose least value is 0 are already centred
+    rng = np.random.default_rng(303)
+    laws = [EnergyDistribution.gaussian(0.0, s) for s in (0.01, 1.0, 7.5)]
+    for _ in range(300):
+        k = int(rng.integers(2, 7))
+        values = np.append(0.0, rng.integers(1, 40, k - 1) / 10)
+        laws.append(EnergyDistribution.discrete(values, rng.dirichlet(np.ones(k))))
+    centred = [beta_c(law, 2 + i % 3) for i, law in enumerate(laws)]
+    monkeypatch.setattr(theory, "replace", lambda law, **changes: law)  # g on the law as given
+    assert centred == [beta_c(law, 2 + i % 3) for i, law in enumerate(laws)]
+    assert sum(map(math.isfinite, centred)) >= 100
 
 
 def test_beta_c_bernoulli_half_is_infinite():

@@ -298,6 +298,21 @@ def test_beam_sweep_matches_the_lexsort_oracle(monkeypatch, cells):
     assert wider >= 10  # M > d^(n-1), where encode_beam caps the width
 
 
+def test_beam_pool_matches_the_lexsort_oracle_at_wide_beams():
+    # widths up to 160, where the rows of one block share the most pooled nodes
+    rng = np.random.default_rng(160)
+    wide = 0
+    for case in range(24):
+        d, n, k = int(rng.integers(2, 5)), int(rng.integers(6, 10)), int(rng.integers(2, 6))
+        rho = random_rho(rng, k, case)
+        code = TreeCode(int(rng.integers(2**32)), CodingDistribution(rng.dirichlet(np.ones(k))), TreeShape(d, n))
+        x = rng.integers(0, rho.rows, n)
+        widths = np.arange(1, min(int(rng.integers(41, 161)), d ** (n - 1)) + 1)
+        wide += widths.size > 100
+        assert treecode._beam_sweep(code, x, rho, widths) == beam_sweep_lexsort(code, x, rho, widths)
+    assert wide >= 8
+
+
 @pytest.mark.parametrize("d, n, M", [(2, 48, 32), (3, 8, 20)])
 def test_beam_blocks_do_not_change_the_result(monkeypatch, d, n, M):
     code = make_code(3, d, n)
@@ -316,6 +331,26 @@ def test_beam_draws_each_generation_once(monkeypatch):
     monkeypatch.setattr(treecode, "uniforms", lambda *keys: calls.append(keys) or real(*keys))
     encode_beam(make_code(8, 2, 48), np.arange(48) % 4, HAMMING4, 32)
     assert len(calls) == 48  # one per generation, and none to score the walk
+    assert [keys[2] for keys in calls] == list(range(1, 49))
+    assert all(np.unique(keys[3]).size == np.size(keys[3]) for keys in calls)  # each pooled child drawn once
+    # 6,354 from the shared pool; one survivor row per width, each drawing its own children, drew 47,082
+    assert sum(np.size(keys[3]) for keys in calls) < 8_000
+
+
+@pytest.mark.parametrize("d, n, M, cells", [(2, 48, 32, 2048), (2, 20, 100, 200 * 9), (3, 9, 60, 180 * 4 + 5)])
+def test_beam_blocks_keep_the_pool_within_block_cells(monkeypatch, d, n, M, cells):
+    # rows x pooled children, the membership matrix, never exceeds BLOCK_CELLS once blocks of isqrt rows split
+    code, x = make_code(4, d, n), (np.arange(n) * 5) % 4
+    whole = encode_beam(code, x, HAMMING4, M)
+    rows, cells_seen = [], []
+    sweep, real = treecode._beam_sweep, treecode.uniforms
+    monkeypatch.setattr(model, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(treecode, "_beam_sweep", lambda *args: rows.append(args[3].size) or sweep(*args))
+    monkeypatch.setattr(treecode, "uniforms", lambda *keys: cells_seen.append(rows[-1] * keys[3].size) or real(*keys))
+    split = encode_beam(code, x, HAMMING4, M)
+    assert (list(split.walk), split.total_distortion) == (list(whole.walk), whole.total_distortion)
+    assert len(rows) > 1 and sum(rows) == M and max(rows) == math.isqrt(cells // (M * d))
+    assert max(cells_seen) <= cells
 
 
 def test_exact_draws_each_generation_once(monkeypatch):
