@@ -53,10 +53,67 @@ def beta_c(energy_dist: EnergyDistribution, d: int) -> float:
             return math.inf
     while g(lo) > 0.0:  # beta_c < lo; g -> -ln d as beta -> 0, so halving ends
         lo, hi = lo / 2, lo
-    from scipy.optimize import brentq  # imported here, so that a codec process never loads scipy
-
     # brentq's default xtol (2e-12) at lo = 1e-8, scaled with lo so that a tiny beta_c keeps its digits
-    return float(brentq(g, lo, hi, xtol=2e-12 * (lo / 1e-8), rtol=1e-12, maxiter=200))
+    return _brentq(g, lo, hi, xtol=2e-12 * (lo / 1e-8), rtol=1e-12, maxiter=200)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in the bracket [xa, xb] by Brent's method.
+
+    Brent (1973), *Algorithms for Minimization Without Derivatives*, ch. 4,
+    as scipy's ``optimize/Zeros/brentq.c`` implements it, step for step, so
+    that it returns the float scipy's ``brentq`` returns and raises its
+    exception types: ValueError on an f value of NaN or a bracket without a
+    sign change, RuntimeError after maxiter steps.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, unless a good short step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:  # where C divides by zero it gets inf or nan, which the step test rejects alike
+                if xpre == xblk:  # interpolate: secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate: inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:  # the minimum step
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 @dataclass(frozen=True)

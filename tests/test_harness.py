@@ -951,20 +951,24 @@ def _scipy_modules_after(tmp_path, runs):
 
 
 def test_codec_process_never_loads_scipy(tmp_path):
-    # scipy about triples a cold codec process's time and peak RSS; only kinds that call ndtri or brentq load it
+    # scipy about triples a cold process's time and peak RSS; only a Gaussian draw (ndtri) in dprm-converge loads it
     not_applicable = {"models": {"source": {"probs": [0.85, 0.15]}, "distortion": {"hamming": 2}}}
+    rare_minimum = {"kind": "discrete", "values": [0.0, 1.0], "probs": [0.25, 0.75]}  # a finite beta_c at d = 2
     assert _scipy_modules_after(tmp_path, [
         ("encode", ENCODE_X, EXIT_OK),
         ("encode", ENCODE_X | {"beam_width": 4, "bitstream": "beam.bin"}, EXIT_OK),
         ("decode", FULL_CONFIGS["decode"] | {"bitstream": "encoded.bin"}, EXIT_OK),
         ("rd-curve", FULL_CONFIGS["rd-curve"], EXIT_OK),
         ("verify-theorem", FULL_CONFIGS["verify-theorem"] | not_applicable, EXIT_NOT_APPLICABLE),
-    ]) == []
-    loaded = _scipy_modules_after(tmp_path, [
-        ("dprm-converge", converge_config(), EXIT_OK),
+        ("verify-theorem", FULL_CONFIGS["verify-theorem"], EXIT_OK),
         ("ensemble", FULL_CONFIGS["ensemble"], EXIT_OK),
-    ])
-    assert {"scipy.special", "scipy.optimize"} <= set(loaded)
+        ("phase-scan", FULL_CONFIGS["phase-scan"], EXIT_OK),
+        ("phase-scan", _energy_config("phase-scan", rare_minimum), EXIT_OK),
+        ("dprm-converge", _energy_config("dprm-converge", rare_minimum), EXIT_OK),
+    ]) == []
+    loaded = set(_scipy_modules_after(tmp_path, [("dprm-converge", converge_config(), EXIT_OK)]))
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.optimize")]
 
 
 def test_beam_width_is_capped_where_the_beam_would_run_wider(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import functools
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from cayleycodec import (
@@ -17,6 +21,7 @@ from cayleycodec import (
 )
 from cayleycodec.model import CodingDistribution, SourceModel
 from cayleycodec import theory
+from cayleycodec.harness import MAX_REAL
 from cayleycodec.theory import BETA_MAX
 
 GAUSS = EnergyDistribution.gaussian(0.0, 1.0)
@@ -172,6 +177,97 @@ def test_beta_c_rejects_d_below_2(d):
         beta_c(GAUSS, d)
     with pytest.raises(ValueError):
         FreeEnergyLimit.for_distribution(GAUSS, d)
+
+
+def test_beta_c_bits_are_pinned():
+    # recorded with scipy.optimize.brentq as the root search; they must not move with scipy's version
+    uniform_hamming = [symmetric_energy_law(CodingDistribution([1 / k] * k), DistortionMatrix.hamming(k))
+                       for k in (4, 3)]
+    assert [beta_c(law, 2).hex() for law in (GAUSS, *uniform_hamming)] == [
+        "0x1.2d6abe44afc43p+0", "0x1.46d0baabd0649p+1", "0x1.6c92c0d6931aap+1"]
+
+
+def brentq_branches_run(f, a, b, **tol):
+    """theory._brentq(f, a, b) and the names of the steps it took, traced by line."""
+    code = theory._brentq.__code__
+    source, first = inspect.getsourcelines(theory._brentq)
+    steps = {"interpolate": "stry = -fcur * (xcur - xpre)", "extrapolate": "dpre = ",
+             "good short step": "# good short step", "bisect": "spre = scur = sbis", "delta step": "xcur += delta"}
+    line_of = {first + next(i for i, text in enumerate(source) if marker in text): name
+               for name, marker in steps.items()}
+    seen = set()
+
+    def on_line(frame, event, arg):
+        seen.add(line_of.get(frame.f_lineno))
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        root = theory._brentq(f, a, b, **tol)
+    finally:
+        sys.settrace(previous)
+    return root, seen - {None}
+
+
+def test_brentq_returns_scipy_bits(monkeypatch):
+    # the brackets beta_c builds, on real, lattice and spread discrete laws and on Gaussians whose tiny beta_c
+    # halves lo below 1e-8; g is memoised, since scipy evaluates it at the same points
+    pairs, port = [], theory._brentq
+
+    def with_scipy(f, a, b, **tol):
+        g = functools.cache(f)
+        pairs.append((brentq(g, a, b, **tol), port(g, a, b, **tol), a))
+        return pairs[-1][1]
+
+    rng = np.random.default_rng(24)
+    laws = []
+    for i in range(1_100):
+        k = int(rng.integers(2, 9))
+        values = (rng.uniform(-5.0, 5.0, k), rng.integers(0, 20, k) / 4,
+                  np.exp(rng.uniform(math.log(1e-3), math.log(1e3), k)) * rng.choice([-1.0, 1.0], k))[i % 3]
+        laws.append(EnergyDistribution.discrete(values, rng.dirichlet(np.ones(k))))
+    laws += [EnergyDistribution.gaussian(0.0, s) for s in np.geomspace(1e-3, MAX_REAL, 300)]
+    monkeypatch.setattr(theory, "_brentq", with_scipy)
+    for i, law in enumerate(laws):
+        beta_c(law, (2, 3, 4, 7)[i % 4])
+    assert len(pairs) >= 1_000 and sum(a < 1e-8 for *_, a in pairs) >= 100
+    assert [want for want, _, _ in pairs] == [got for _, got, _ in pairs]
+
+
+def test_brentq_takes_every_step_with_scipy_bits():
+    # generic functions; together they take every step of Brent's method
+    eps = sys.float_info.epsilon
+    steps = set()
+    for f, a, b in ((lambda x: x**3 - 2 * x - 5, 2.0, 3.0), (lambda x: math.cos(x) - x, 0.0, 1.0),
+                    (lambda x: x**9 - 1e-9, -1.0, 2.0), (lambda x: math.atan(1e6 * (x - 0.3)), 0.0, 1.0),
+                    (lambda x: -1.0 if x < 1 / 3 else 1.0, 0.0, 1.0),
+                    (lambda x: 1e-200 * (math.exp(x) - 2), 0.0, 1.0)):  # f(a) * f(b) underflows to -0.0
+        for tol in ({"xtol": 2e-12, "rtol": 4 * eps}, {"xtol": 1e-3, "rtol": 1e-12}):
+            root, seen = brentq_branches_run(f, a, b, maxiter=100, **tol)
+            assert root == brentq(f, a, b, maxiter=100, **tol)
+            steps |= seen
+    assert steps == {"interpolate", "extrapolate", "good short step", "bisect", "delta step"}
+
+
+@pytest.mark.parametrize("f, a, b, maxiter, error", [
+    (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, 100, ValueError),  # NaN mid-search
+    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, 3, RuntimeError),  # maxiter runs out
+    (lambda x: x - 1.0, 1.0, 3.0, 100, None),  # f(a) = 0: returns a
+    (lambda x: x - 3.0, 1.0, 3.0, 100, None),  # f(b) = 0: returns b
+    (lambda x: 3.0 - x, 1.0, 3.0, 100, None),  # f(b) = 0 with f(a) > 0, so no sign test sees a change
+    (lambda x: x + 1.0, 1.0, 3.0, 100, ValueError),  # no sign change
+    (lambda x: 1e-200 * x, 1.0, 3.0, 100, ValueError),  # no sign change, though f(a) * f(b) underflows to 0
+])
+def test_brentq_fails_as_scipy_does(f, a, b, maxiter, error):
+    tol = {"xtol": 2e-12, "rtol": 1e-12, "maxiter": maxiter}
+    if error is None:
+        assert theory._brentq(f, a, b, **tol) == brentq(f, a, b, **tol) in (a, b)
+        return
+    with pytest.raises(error):
+        brentq(f, a, b, **tol)
+    with pytest.raises(error):
+        theory._brentq(f, a, b, **tol)
 
 
 def test_f_limit_high_temperature():
