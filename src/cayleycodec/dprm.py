@@ -10,6 +10,12 @@ vectorized batches.  It runs top-down on path energies in leaf order, and one
 pass reads ln Z and <E> at every requested level and beta (a log-sum-exp
 shifted by the minimum path energy, so large beta does not underflow) and the
 ground state (the first argmin of the last level).
+
+A sweep works in one float64 block of (3 + 1/d) d^n cells a tree (the draws'
+scratch, P at even and odd distance from n, the log-sum-exp weights), by numpy
+out= steps in the allocating order, so the bits are those of fresh arrays.  One
+block, not four arrays: once it is freed, glibc's mmap and trim thresholds rise
+to its size and twice that, so later sweeps reuse heap pages, not fresh ones.
 """
 
 from __future__ import annotations
@@ -71,12 +77,14 @@ class BranchEnergyOracle:
     energy_dist: EnergyDistribution
     shape: TreeShape
 
-    def generation_energies(self, i: int) -> np.ndarray:
-        """All d^i branch energies of generation i, vectorized."""
+    def generation_energies(self, i: int, out: np.ndarray | None = None) -> np.ndarray:
+        """All d^i branch energies of generation i, vectorized (in out's memory, if given)."""
         if not (1 <= i <= self.shape.n):
             raise ValueError(f"generation {i} out of range 1..{self.shape.n}")
         j = np.arange(self.shape.d**i, dtype=np.uint64)
-        return self.energy_dist.sample(uniforms(self.master_seed, ENERGY_STREAM, i, j))
+        if out is not None:  # move the indices into out and hash them there: no second d^i array is held
+            out.view(np.uint64)[...], j = j, out.view(np.uint64)
+        return self.energy_dist.sample(uniforms(self.master_seed, ENERGY_STREAM, i, j, out=out), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -94,43 +102,48 @@ class Sweep:
     min_energy: float | np.ndarray
 
 
-def tree_sweep(energy_fn: Callable[[int], np.ndarray], shape: TreeShape, betas=(), levels=None) -> Sweep:
+def tree_sweep(energy_fn: Callable[..., np.ndarray], shape: TreeShape, betas=(), levels=None) -> Sweep:
     """One top-down pass over the path energies P_i = repeat(P_{i-1}, d) + e_i
-    in leaf order, where energy_fn(i) gives the d^i energies e_i of generation
-    i in branch order.  P_0 = 0, so each walk sums left to right: (e_1 + e_2) + ...
+    in leaf order, where energy_fn(i, out) gives the d^i energies e_i of
+    generation i in branch order, in out (None for i = 1) or an array of its
+    own.  P_0 = 0, so each walk sums left to right: (e_1 + e_2) + ...
 
-    At each level k in `levels` (default: n) and each beta > 0 it records
-    ln Z_k(beta) = ln sum exp(-beta P_k), shifted by min P_k, and the
+    At each level k in `levels` (default: n) and each finite beta > 0 it
+    records ln Z_k(beta) = ln sum exp(-beta P_k), shifted by min P_k, and the
     Boltzmann mean <E>_k of P_k.  The ground state is the first argmin of
     P_n; leaf order is lexicographic walk order, so that breaks ties.  With
-    leading batch axes, energy_fn(i) of shape (..., d^i), each row is a tree
-    of its own, reduced over the contiguous last axis as a 1-D sweep is, so
-    bit for bit.
+    leading batch axes, energies of shape (..., d^i), each row is a tree of
+    its own, reduced over the contiguous last axis as a 1-D sweep is, so bit
+    for bit.
     """
     betas = np.asarray(betas, dtype=np.float64).reshape(-1)
-    if not np.all(betas > 0):
-        raise ValueError("beta must be > 0")
+    if not np.all(np.isfinite(betas) & (betas > 0)):
+        raise ValueError("beta must be finite and > 0")
     levels = [shape.n] if levels is None else [int(k) for k in levels]
     if not all(1 <= k <= shape.n for k in levels):
         raise ValueError(f"levels {levels} must lie in 1..n={shape.n}")
-    path = np.zeros(1)
-    for i in range(1, shape.n + 1):
-        e = energy_fn(i)
-        path = (path[..., None] + e.reshape(*e.shape[:-1], -1, shape.d)).reshape(e.shape)
-        del e  # not held through the reductions below, the sweep's memory peak
-        if i == 1:  # the batch axes are the energies'
-            log_z, mean_energy = np.empty((2, *path.shape[:-1], len(levels), betas.size))
+    d, n, path = shape.d, shape.n, np.zeros(1)
+    for i in range(1, n + 1):
+        e = energy_fn(i, at(scratch, i) if i > 1 else None)
+        if i == 1:  # the batch axes are the energies'; one block then holds every array below
+            batch, trees = e.shape[:-1], e[..., 0].size
+            sizes = trees * np.array([d**n, d**n, d ** (n - 1), d**n])  # scratch, P at even and odd n - i, weights
+            scratch, even, odd, weights = np.split(np.empty(sizes.sum()), np.cumsum(sizes[:-1]))
+            at = lambda region, k: region[: trees * d**k].reshape(*batch, d**k)
+            log_z, mean_energy = np.empty((2, *batch, len(levels), betas.size))
+        out = at(odd if (n - i) % 2 else even, i).reshape(*batch, -1, d)  # P_{i-1} lies in the other region
+        path = np.add(path[..., None], e.reshape(*batch, -1, d), out=out).reshape(*batch, d**i)
         rows = [r for r, k in enumerate(levels) if k == i]
         if not rows or not betas.size:
             continue
         p_min = path.min(axis=-1)
-        excess = path - p_min[..., None]
-        w = np.empty_like(path)
+        excess = np.subtract(path, p_min[..., None], out=at(scratch, i))  # e_i is spent
+        w = at(weights, i)
         for c, beta in enumerate(betas):
             np.exp(np.multiply(excess, -beta, out=w), out=w)
             s = w.sum(axis=-1)
             log_z[..., rows, c] = (np.log(s) - beta * p_min)[..., None]
-            mean_energy[..., rows, c] = ((w * path).sum(axis=-1) / s)[..., None]
+            mean_energy[..., rows, c] = (np.multiply(w, path, out=w).sum(axis=-1) / s)[..., None]
     leaf = path.argmin(axis=-1)
     min_energy = np.take_along_axis(path, leaf[..., None], -1)[..., 0]
     return Sweep(log_z, mean_energy, walk_from_leaf(leaf, shape), min_energy if path.ndim > 1 else float(min_energy))

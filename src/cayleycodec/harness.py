@@ -189,7 +189,7 @@ class ExperimentConfig:
         width = min(cfg.beam_width, cfg.d ** min(cfg.n - 1, 64)) if cfg.beam_width else 0
         if width > MAX_BEAM_WIDTH:
             raise ConfigError(f"beam_width: a beam {width} wide, min(beam_width, d^(n-1)), exceeds {MAX_BEAM_WIDTH}")
-        # a full-tree sweep to level n peaks near 36 d^n bytes; n > 64 (d^n > 2^64) is refused before d^n is computed
+        # a sweep to n peaks at its (3 + 1/d) d^n-cell block and a d^n temporary, <= 36 d^n bytes; n > 64 fails first
         n = max(cfg.n_list, default=0)
         if kind == "dprm-converge" and (n > 64 or 36 * cfg.d**n > treecode.MEMORY_BUDGET):
             raise ConfigError(f"shape.n_list: a sweep to n = {n} at d = {cfg.d} needs about 36 d^n bytes, "

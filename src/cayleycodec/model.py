@@ -53,7 +53,8 @@ def _inverse_transform(cdf: tuple[np.ndarray, int], u) -> np.ndarray:
     can end a rounding error below 1, so the index is clamped to the last
     letter of positive mass: a u past the cumsum never draws a zero-mass letter."""
     cum, top = cdf
-    return np.minimum(np.searchsorted(cum, np.asarray(u), side="right"), top)
+    idx = np.searchsorted(cum, np.asarray(u), side="right")
+    return np.minimum(idx, top, out=idx if isinstance(idx, np.ndarray) else None)
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class Pmf:
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Inverse-transform letters from uniforms in (0,1)."""
-        return _inverse_transform(self._cdf, u).astype(np.int64)
+        return _inverse_transform(self._cdf, u).astype(np.int64, copy=False)
 
 
 # the source and coding laws are both a Pmf; perfbench/ and the tests still use these two names
@@ -164,13 +165,14 @@ class EnergyDistribution:
 
     _cdf = _law_cdf
 
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-transform draws from uniforms in (0,1)."""
-        if self.kind == "discrete":
-            return self.values[_inverse_transform(self._cdf, u)]
+    def sample(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse-transform draws from uniforms in (0,1), into out if given (u itself may be out)."""
+        if self.kind == "discrete":  # "clip" never clips here, but unlike "raise" writes out unbuffered
+            return np.take(self.values, _inverse_transform(self._cdf, u), out=out, mode="clip")
         from scipy.special import ndtri  # imported here, so that a codec process never loads scipy
 
-        return self.mean_param + self.std_param * ndtri(u)
+        # mean + std * ndtri(u), steps in out if given: IEEE + and * commute, so the bits are the same
+        return np.add(np.multiply(ndtri(u, out=out), self.std_param, out=out), self.mean_param, out=out)
 
     def log_mgf(self, beta: float) -> float:
         """ln E{exp(-beta * eps)}, in closed form for the Gaussian variant."""

@@ -25,13 +25,14 @@ SOURCE_STREAM = 0xA54FF53A5F1D36F1
 TRIAL_STREAM = 0x510E527FADE682D1
 
 
-def _finalize(x: np.ndarray) -> np.ndarray:
-    """splitmix64 output function: a bijective avalanche on uint64 (wrap-around is the point)."""
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """splitmix64 output function: a bijective avalanche on uint64 (wrap-around is the point), in place on an array."""
     gamma, m1, m2, s30, s27, s31 = _U64
-    z = x + gamma
-    z = (z ^ (z >> s30)) * m1
-    z = (z ^ (z >> s27)) * m2
-    return z ^ (z >> s31)
+    out = z if isinstance(z, np.ndarray) else None
+    z = np.add(z, gamma, out=out)
+    z = np.multiply(np.bitwise_xor(z, z >> s30, out=out), m1, out=out)
+    z = np.multiply(np.bitwise_xor(z, z >> s27, out=out), m2, out=out)
+    return np.bitwise_xor(z, z >> s31, out=out)
 
 
 def _finalize_int(z: int) -> int:
@@ -42,12 +43,12 @@ def _finalize_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def hash64(*keys) -> np.ndarray:
+def hash64(*keys, out=None) -> np.ndarray:
     """Collapse (seed, tag, index, ...) into one 64-bit hash.
 
     Scalar keys give a np.uint64; a single array key (conventionally the
     last) broadcasts, giving one hash per element.  Leading int keys fold in
-    Python ints, the rest in uint64 arrays from the first array key on.
+    Python ints, the rest in uint64 arrays from the first array key on, in out if given.
     """
     h, i = 0, 0
     while i < len(keys) and isinstance(keys[i], (int, np.integer)):
@@ -55,15 +56,19 @@ def hash64(*keys) -> np.ndarray:
     h = np.uint64(h)
     with np.errstate(over="ignore"):  # a 0-d array key gives numpy scalars, which warn on wrap-around
         for k in keys[i:]:
-            h = _finalize(h ^ np.asarray(k).astype(np.uint64))
+            h = _finalize(np.bitwise_xor(h, np.asarray(k).astype(np.uint64, copy=False), out=out))
     return h
 
 
-def uniforms(*keys) -> np.ndarray:
-    """Uniform(0,1) variates, strictly inside the open interval."""
-    h = hash64(*keys)
+def uniforms(*keys, out=None) -> np.ndarray:
+    """Uniform(0,1) variates, strictly inside the open interval.  Given out (float64,
+    the keys' broadcast shape), they are computed in its memory and out is returned."""
+    if out is not None:  # numpy casts a 1-D assignment onto its own memory in place, with no copy
+        out[...] = np.right_shift(hash64(*keys, out=out.view(np.uint64)), np.uint64(11), out=out.view(np.uint64))
+    u = out if out is not None else (hash64(*keys) >> np.uint64(11)).astype(np.float64)
+    out = u if isinstance(u, np.ndarray) else None  # out, or a fresh array: the steps below reuse it
     # the top hash would round up to exactly 1.0; clamp it to the largest double below 1
-    return np.minimum(((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
+    return np.minimum(np.multiply(np.add(u, 0.5, out=out), 2.0**-53, out=out), 1.0 - 2.0**-53, out=out)
 
 
 def derive_seed(*keys) -> int:

@@ -279,7 +279,7 @@ def simulate_ensemble(
         if shape.num_walks >= PRUNE_MIN_LEAVES:
             return [encode_exact(TreeCode(seed, Q, shape), row, rho).per_symbol_mean for seed, row in zip(seeds, x)]
         symbols = lambda t: codes._symbols_at(t, np.arange(d**t, dtype=np.uint64))  # generation t, one code a row
-        return tree_sweep(lambda t: rho.values[x[:, t - 1, None], symbols(t)], shape).min_energy / n
+        return tree_sweep(lambda t, out: rho.values[x[:, t - 1, None], symbols(t)], shape).min_energy / n
 
     return run_trials(lambda ts, seeds: np.concatenate([block(ts[k : k + size], seeds[k : k + size])
                                                         for k in range(0, trials, size)]), trials, master_seed)

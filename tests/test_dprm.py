@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from bruteforce import (
 from exact_laws import tree_minimum_moments
 from cayleycodec import (
     BranchEnergyOracle,
+    DistortionMatrix,
     EnergyDistribution,
+    Pmf,
     TreeShape,
     ground_state,
     internal_energy,
@@ -20,13 +24,15 @@ from cayleycodec import (
     monte_carlo_free_energy,
     phi,
     run_trials,
+    simulate_ensemble,
     validate_walk,
 )
 from cayleycodec.dprm import tree_sweep
-from cayleycodec.rng import TRIAL_STREAM, derive_seed
+from cayleycodec.rng import CODEBOOK_STREAM, ENERGY_STREAM, TRIAL_STREAM, derive_seed, uniforms
 from cayleycodec.theory import BETA_MAX
 
 GAUSS = EnergyDistribution.gaussian(0.0, 1.0)
+U4 = Pmf(np.full(4, 0.25))
 
 
 def chain_oracle(energies):
@@ -98,7 +104,7 @@ def test_gaussian_batch_statistics():
 
 def test_log_partition_single_chain():
     # d=1, energies (1,2,3), beta=1 -> ln Z = -6
-    lz = tree_sweep(lambda i: chain_oracle([1.0, 2.0, 3.0])[i], TreeShape(1, 3), [1.0]).log_z[0, 0]
+    lz = tree_sweep(lambda i, out: chain_oracle([1.0, 2.0, 3.0])[i], TreeShape(1, 3), [1.0]).log_z[0, 0]
     assert lz == pytest.approx(-6.0, abs=1e-12)
 
 
@@ -130,7 +136,7 @@ def test_free_energy_per_step_sign_convention():
     o = BranchEnergyOracle(1, EnergyDistribution.discrete([0.0], [1.0]), TreeShape(d=2, n=3))
     assert log_partition_function(o, 1.0) / (3 * 1.0) == pytest.approx(math.log(2), abs=1e-12)
     # d=1 chain: f = -(mean energy), independent of beta
-    f = tree_sweep(lambda i: chain_oracle([1.0, 2.0, 3.0])[i], TreeShape(1, 3), [2.0]).log_z[0, 0] / (3 * 2.0)
+    f = tree_sweep(lambda i, out: chain_oracle([1.0, 2.0, 3.0])[i], TreeShape(1, 3), [2.0]).log_z[0, 0] / (3 * 2.0)
     assert f == pytest.approx(-2.0, abs=1e-12)
 
 
@@ -142,7 +148,7 @@ def test_internal_energy_constant_energies():
 
 def test_internal_energy_chain_is_total():
     energies = [0.4, -1.2, 2.0]
-    me = tree_sweep(lambda i: chain_oracle(energies)[i], TreeShape(1, 3), [1.7]).mean_energy[0, 0]
+    me = tree_sweep(lambda i, out: chain_oracle(energies)[i], TreeShape(1, 3), [1.7]).mean_energy[0, 0]
     assert me == pytest.approx(sum(energies), abs=1e-12)
 
 
@@ -174,7 +180,7 @@ def test_ground_state_tie_break_is_lexicographic():
 
 def test_ground_state_chain():
     energies = [0.3, -0.8, 1.1]
-    sweep = tree_sweep(lambda i: chain_oracle(energies)[i], TreeShape(1, 3))
+    sweep = tree_sweep(lambda i, out: chain_oracle(energies)[i], TreeShape(1, 3))
     walk, e = sweep.walk, sweep.min_energy
     assert list(walk) == [0, 0, 0]
     assert e == pytest.approx(sum(energies), abs=1e-12)
@@ -196,7 +202,7 @@ def test_ground_state_tie_break_exact_on_float_sums():
     # walk is, (.3 + .2) + .1 == .6 < (.1 + .2) + .3, so leaf 6 is the minimum
     energies = {1: np.array([0.1, 0.3]), 2: np.array([0.2] * 4),
                 3: np.array([0.3, 0.9, 0.9, 0.9, 0.9, 0.9, 0.1, 0.9])}
-    sweep = tree_sweep(lambda i: energies[i], TreeShape(2, 3))
+    sweep = tree_sweep(lambda i, out: energies[i], TreeShape(2, 3))
     bwalk, be = enumerate_ground_state(energies, 2, 3)
     assert list(bwalk) == [1, 3, 6]
     assert list(sweep.walk) == list(bwalk) and sweep.min_energy == be
@@ -209,7 +215,7 @@ def test_ground_state_matches_enumeration_exactly_with_float_ties(d, n):
     rng = np.random.default_rng(d * 100 + n)
     for _ in range(20):
         energies = {i: rng.choice([0.1, 0.2, 0.3, 0.7], size=d**i) for i in range(1, n + 1)}
-        sweep = tree_sweep(lambda i: energies[i], TreeShape(d, n))
+        sweep = tree_sweep(lambda i, out: energies[i], TreeShape(d, n))
         bwalk, be = enumerate_ground_state(energies, d, n)
         assert list(sweep.walk) == list(bwalk) and sweep.min_energy == be
 
@@ -237,7 +243,7 @@ def test_batched_sweep_rows_equal_lone_sweeps_bit_for_bit(d, n):
     betas, levels = [0.3, 1.0, 7.0, BETA_MAX], list(range(1, n + 1))
     seeds = np.arange(6).reshape(2, 3)
     oracles = [[BranchEnergyOracle(int(s), GAUSS, TreeShape(d, n)) for s in row] for row in seeds]
-    batch = tree_sweep(lambda i: np.array([[o.generation_energies(i) for o in row] for row in oracles]),
+    batch = tree_sweep(lambda i, out: np.array([[o.generation_energies(i) for o in row] for row in oracles]),
                        TreeShape(d, n), betas, levels)
     assert batch.log_z.shape == batch.mean_energy.shape == (2, 3, n, len(betas))
     assert batch.walk.shape == (2, 3, n) and batch.min_energy.shape == (2, 3)
@@ -263,8 +269,61 @@ def test_sweep_rejects_bad_levels_and_beta():
     for levels in ([0], [4]):
         with pytest.raises(ValueError):
             tree_sweep(o.generation_energies, o.shape, [1.0], levels)
-    with pytest.raises(ValueError):
-        tree_sweep(o.generation_energies, o.shape, [1.0, math.nan])
+    for beta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            tree_sweep(o.generation_energies, o.shape, [1.0, beta])
+
+
+DISCRETE = EnergyDistribution.discrete([0.0, 0.5, 2.0], [0.2, 0.5, 0.3])
+
+
+@pytest.mark.parametrize("compute, digest", [
+    (lambda: monte_carlo_free_energy(2, [8, 12, 16], GAUSS, [0.5, 1.2, 3.0], 4, 0),
+     "cec97f0e795b91edf3fb5a63b96853d2a48fb93d80a5ef3ac0508209f5bae6bf"),
+    (lambda: monte_carlo_free_energy(3, [5, 9], DISCRETE, [0.5, 1.2, 3.0], 4, 0),
+     "7d24b50d18be1d7641a0741fa872da0caebb4fbad004e73394ec3bde88e024f0"),
+    (lambda: simulate_ensemble(U4, U4, DistortionMatrix.hamming(4), 2, 12, 8, 0),
+     "a5a23abfbacf41691571cfa2c940cc4e4d318f8e86f8f89ecbe25bf81906b13a"),
+], ids=["gaussian", "discrete", "ensemble"])
+def test_sweep_outputs_keep_their_recorded_bits(compute, digest):
+    # SHA-256 of the values, recorded when every generation and log-sum-exp still allocated its own arrays
+    assert hashlib.sha256(compute().values.tobytes()).hexdigest() == digest
+
+
+def test_draws_into_out_equal_the_allocating_draws_bit_for_bit():
+    j = np.arange(1000, dtype=np.uint64)
+    column = np.array([5, 2**63 + 1, 77], dtype=np.uint64)[:, None]  # one seed a row
+    for keys in [(3, ENERGY_STREAM, 7, j), (column, CODEBOOK_STREAM, 4, j), (3, 5, np.asarray(9)),
+                 (np.asarray(2, dtype=np.uint64), 5, 6), (1, 2, 3)]:
+        ref = np.asarray(uniforms(*keys))
+        out = np.empty(ref.shape)
+        assert uniforms(*keys, out=out) is out and out.tobytes() == ref.tobytes()
+    u = np.append(uniforms(3, ENERGY_STREAM, 1, j), 1.0 - 2.0**-53)  # with the top clamped uniform
+    kept = u.tobytes()
+    for law in (EnergyDistribution.gaussian(0.3, 1.7), DISCRETE):
+        ref = law.sample(u)
+        assert u.tobytes() == kept  # no out: u is left as it was
+        out, same = np.empty_like(u), u.copy()
+        assert law.sample(u, out=out) is out and out.tobytes() == ref.tobytes()
+        assert law.sample(same, out=same) is same and same.tobytes() == ref.tobytes()
+        o = BranchEnergyOracle(11, law, TreeShape(3, 6))
+        for i in (1, 4, 6):
+            out = np.empty(3**i)
+            assert o.generation_energies(i, out) is out and out.tobytes() == o.generation_energies(i).tobytes()
+
+
+@pytest.mark.parametrize("law", [GAUSS, DISCRETE], ids=["gaussian", "discrete"])
+@pytest.mark.parametrize("d, n", [(2, 16), (3, 10)])
+def test_one_trial_peaks_within_36_bytes_a_leaf(law, d, n):
+    # harness refuses a dprm-converge past 36 d^n bytes: the sweep's block, (3 + 1/d) d^n cells, and one d^n temporary
+    monte_carlo_free_energy(d, [2], law, [1.0], 1, 0)  # imports scipy.special and builds the law's cdf outside the count
+    tracemalloc.start()
+    try:
+        monte_carlo_free_energy(d, [n], law, [0.5, 1.2, 3.0], 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * d**n + 64 * 1024
 
 
 def test_sandwich_inequality_per_realization():
@@ -282,12 +341,12 @@ def test_log_partition_monotone_in_each_energy():
     rng = np.random.default_rng(0)
     d, n, beta = 2, 3, 1.2
     base = {i: rng.normal(size=d**i) for i in range(1, n + 1)}
-    lz0 = tree_sweep(lambda i: base[i], TreeShape(d, n), [beta]).log_z[0, 0]
+    lz0 = tree_sweep(lambda i, out: base[i], TreeShape(d, n), [beta]).log_z[0, 0]
     for i in range(1, n + 1):
         for j in range(d**i):
             bumped = {k: v.copy() for k, v in base.items()}
             bumped[i][j] += 0.5
-            lz1 = tree_sweep(lambda i: bumped[i], TreeShape(d, n), [beta]).log_z[0, 0]
+            lz1 = tree_sweep(lambda i, out: bumped[i], TreeShape(d, n), [beta]).log_z[0, 0]
             assert lz1 < lz0
 
 
@@ -309,7 +368,7 @@ def test_monte_carlo_point_mass():
 
 
 def test_monte_carlo_single_trial_equals_direct():
-    from cayleycodec.rng import TRIAL_STREAM, derive_seed
+    from cayleycodec.rng import CODEBOOK_STREAM, ENERGY_STREAM, TRIAL_STREAM, derive_seed, uniforms
 
     shape = TreeShape(d=2, n=6)
     stats = monte_carlo_free_energy(2, [6], GAUSS, [0.8], 1, 555).cell(0, 0)

@@ -104,7 +104,7 @@ def test_encode_exact_is_dprm_ground_state():
         x = (np.arange(6) * 7) % 4
         res = encode_exact(code, x, HAMMING4)
 
-        def energy_fn(t):
+        def energy_fn(t, out):
             return HAMMING4.values[x[t - 1]][generation_symbols(code, t)]
 
         sweep = tree_sweep(energy_fn, TreeShape(2, 6))
@@ -364,7 +364,7 @@ def test_exact_draws_each_generation_once(monkeypatch):
 
 def full_sweep(code, x, rho):
     """(walk, total) of one tree_sweep over all d^n leaves: the oracle for the pruned search."""
-    sweep = tree_sweep(lambda t: rho.values[x[t - 1]][generation_symbols(code, t)], code.shape)
+    sweep = tree_sweep(lambda t, out: rho.values[x[t - 1]][generation_symbols(code, t)], code.shape)
     return list(sweep.walk), sweep.min_energy
 
 
