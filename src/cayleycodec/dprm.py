@@ -11,11 +11,11 @@ pass reads ln Z and <E> at every requested level and beta (a log-sum-exp
 shifted by the minimum path energy, so large beta does not underflow) and the
 ground state (the first argmin of the last level).
 
-A sweep works in one float64 block of (3 + 1/d) d^n cells a tree (the draws'
-scratch, P at even and odd distance from n, the log-sum-exp weights), by numpy
-out= steps in the allocating order, so the bits are those of fresh arrays.  One
-block, not four arrays: once it is freed, glibc's mmap and trim thresholds rise
-to its size and twice that, so later sweeps reuse heap pages, not fresh ones.
+A sweep works on one tree, in one float64 block of (3 + 1/d) d^n cells (the
+draws' scratch, P at even and odd distance from n, the log-sum-exp weights), by
+numpy out= steps in the allocating order, so the bits are those of fresh arrays.
+One block, not four arrays: once it is freed, glibc's mmap and trim thresholds
+rise to its size and twice that, so later sweeps reuse heap pages, not fresh ones.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import EnergyDistribution
-from .rng import ENERGY_STREAM, TRIAL_STREAM, derive_seed, uniforms
+from .rng import ENERGY_STREAM, TRIAL_STREAM, hash64, uniforms
 
 @dataclass(frozen=True)
 class TreeShape:
@@ -93,28 +93,25 @@ class BranchEnergyOracle:
 
 @dataclass(frozen=True)
 class Sweep:
-    """What one pass reads off a tree: ln Z and <E> indexed [..., level, beta],
-    and the ground state (walk, total energy) at the last generation, per row."""
+    """What one pass reads off a tree: ln Z and <E> indexed [level, beta],
+    and the ground state (walk, total energy) at the last generation."""
 
     log_z: np.ndarray
     mean_energy: np.ndarray
     walk: np.ndarray
-    min_energy: float | np.ndarray
+    min_energy: float
 
 
 def tree_sweep(energy_fn: Callable[..., np.ndarray], shape: TreeShape, betas=(), levels=None) -> Sweep:
     """One top-down pass over the path energies P_i = repeat(P_{i-1}, d) + e_i
     in leaf order, where energy_fn(i, out) gives the d^i energies e_i of
-    generation i in branch order, in out (None for i = 1) or an array of its
-    own.  P_0 = 0, so each walk sums left to right: (e_1 + e_2) + ...
+    generation i in branch order, in the d^i-cell scratch array out or in an
+    array of its own.  P_0 = 0, so each walk sums left to right: (e_1 + e_2) + ...
 
     At each level k in `levels` (default: n) and each finite beta > 0 it
     records ln Z_k(beta) = ln sum exp(-beta P_k), shifted by min P_k, and the
     Boltzmann mean <E>_k of P_k.  The ground state is the first argmin of
-    P_n; leaf order is lexicographic walk order, so that breaks ties.  With
-    leading batch axes, energies of shape (..., d^i), each row is a tree of
-    its own, reduced over the contiguous last axis as a 1-D sweep is, so bit
-    for bit.
+    P_n; leaf order is lexicographic walk order, so that breaks ties.
     """
     betas = np.asarray(betas, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(betas) & (betas > 0)):
@@ -123,30 +120,26 @@ def tree_sweep(energy_fn: Callable[..., np.ndarray], shape: TreeShape, betas=(),
     if not all(1 <= k <= shape.n for k in levels):
         raise ValueError(f"levels {levels} must lie in 1..n={shape.n}")
     d, n, path = shape.d, shape.n, np.zeros(1)
+    sizes = np.array([d**n, d**n, d ** (n - 1), d**n])  # scratch, P at even and odd n - i, weights
+    scratch, even, odd, weights = np.split(np.empty(sizes.sum()), np.cumsum(sizes[:-1]))
+    log_z, mean_energy = np.empty((2, len(levels), betas.size))
     for i in range(1, n + 1):
-        e = energy_fn(i, at(scratch, i) if i > 1 else None)
-        if i == 1:  # the batch axes are the energies'; one block then holds every array below
-            batch, trees = e.shape[:-1], e[..., 0].size
-            sizes = trees * np.array([d**n, d**n, d ** (n - 1), d**n])  # scratch, P at even and odd n - i, weights
-            scratch, even, odd, weights = np.split(np.empty(sizes.sum()), np.cumsum(sizes[:-1]))
-            at = lambda region, k: region[: trees * d**k].reshape(*batch, d**k)
-            log_z, mean_energy = np.empty((2, *batch, len(levels), betas.size))
-        out = at(odd if (n - i) % 2 else even, i).reshape(*batch, -1, d)  # P_{i-1} lies in the other region
-        path = np.add(path[..., None], e.reshape(*batch, -1, d), out=out).reshape(*batch, d**i)
+        e = energy_fn(i, scratch[: d**i])
+        out = (odd if (n - i) % 2 else even)[: d**i].reshape(-1, d)  # P_{i-1} lies in the other region
+        path = np.add(path[:, None], e.reshape(-1, d), out=out).reshape(d**i)
         rows = [r for r, k in enumerate(levels) if k == i]
         if not rows or not betas.size:
             continue
-        p_min = path.min(axis=-1)
-        excess = np.subtract(path, p_min[..., None], out=at(scratch, i))  # e_i is spent
-        w = at(weights, i)
+        p_min = path.min()
+        excess = np.subtract(path, p_min, out=scratch[: d**i])  # e_i is spent
+        w = weights[: d**i]
         for c, beta in enumerate(betas):
             np.exp(np.multiply(excess, -beta, out=w), out=w)
-            s = w.sum(axis=-1)
-            log_z[..., rows, c] = (np.log(s) - beta * p_min)[..., None]
-            mean_energy[..., rows, c] = (np.multiply(w, path, out=w).sum(axis=-1) / s)[..., None]
-    leaf = path.argmin(axis=-1)
-    min_energy = np.take_along_axis(path, leaf[..., None], -1)[..., 0]
-    return Sweep(log_z, mean_energy, walk_from_leaf(leaf, shape), min_energy if path.ndim > 1 else float(min_energy))
+            s = w.sum()
+            log_z[rows, c] = np.log(s) - beta * p_min
+            mean_energy[rows, c] = np.multiply(w, path, out=w).sum() / s
+    leaf = int(path.argmin())
+    return Sweep(log_z, mean_energy, walk_from_leaf(leaf, shape), float(path[leaf]))
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +175,15 @@ class MonteCarloStats:
         return MonteCarloStats(float(self.mean[index]), float(self.std[index]), self.values[(slice(None), *index)])
 
 
-def run_trials(trials_fn: Callable[[np.ndarray, list], Sequence], trials: int, master_seed: int) -> MonteCarloStats:
-    """Calls trials_fn(ts, seeds) once, with ts = 0..trials-1 and the child
-    seeds derived from (master_seed, t), so trials are independent and may be
-    batched; it returns one value per trial, in trial order."""
+def run_trials(trials_fn: Callable[[np.ndarray, np.ndarray], Sequence], trials: int,
+               master_seed: int) -> MonteCarloStats:
+    """Calls trials_fn(ts, seeds) once, with ts = 0..trials-1 and their child
+    seeds hash64(master_seed, TRIAL_STREAM, t), both as uint64 arrays, so trials
+    are independent and may be batched; it returns one value per trial, in trial order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    seeds = [derive_seed(master_seed, TRIAL_STREAM, t) for t in range(trials)]
-    values = np.array(trials_fn(np.arange(trials), seeds))
+    ts = np.arange(trials, dtype=np.uint64)
+    values = np.array(trials_fn(ts, hash64(master_seed, TRIAL_STREAM, ts)))
     # trials last and contiguous, so every cell reduces exactly as a 1-D run would
     by_cell = np.ascontiguousarray(np.moveaxis(values, 0, -1))
     mean = by_cell.mean(axis=-1)

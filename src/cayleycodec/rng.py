@@ -69,8 +69,3 @@ def uniforms(*keys, out=None) -> np.ndarray:
     out = u if isinstance(u, np.ndarray) else None  # out, or a fresh array: the steps below reuse it
     # the top hash would round up to exactly 1.0; clamp it to the largest double below 1
     return np.minimum(np.multiply(np.add(u, 0.5, out=out), 2.0**-53, out=out), 1.0 - 2.0**-53, out=out)
-
-
-def derive_seed(*keys) -> int:
-    """A fresh 64-bit master seed for a named child stream."""
-    return int(hash64(*keys))

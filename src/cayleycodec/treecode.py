@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .dprm import MonteCarloStats, TreeShape, run_trials, tree_sweep, validate_walk, walk_from_leaf
+from .dprm import MonteCarloStats, TreeShape, run_trials, validate_walk, walk_from_leaf
 from .model import DistortionMatrix, Pmf
 from .rng import CODEBOOK_STREAM, SOURCE_STREAM, uniforms
 
@@ -64,14 +64,14 @@ class TreeCode:
 class EncodingResult:
     """The winning walk and its distortion, the left-to-right sum
     (rho(x_1, y_1) + rho(x_2, y_2)) + ... that the encoder's sweep minimised,
-    so totals rank walks exactly as the encoder did."""
+    so totals rank walks exactly as the encoder did; a block's, one code a row."""
 
     walk: np.ndarray
-    total_distortion: float
+    total_distortion: float | np.ndarray
 
     @property
-    def per_symbol_mean(self) -> float:
-        return self.total_distortion / self.walk.size
+    def per_symbol_mean(self) -> float | np.ndarray:
+        return self.total_distortion / self.walk.shape[-1]
 
 
 def _check_source_tuple(code: TreeCode, x, rho: DistortionMatrix, batch: tuple = ()) -> np.ndarray:
@@ -90,23 +90,29 @@ def encode_exact(code: TreeCode, x, rho: DistortionMatrix) -> EncodingResult:
 
     This is the ground state of the induced directed-polymer instance; the
     identification is exact, including the tie-break rule.  Raises ValueError
-    before a generation of the sweep (module docstring) grows past MAX_CHILDREN paths.
+    before a generation of the sweep (module docstring) grows past MAX_CHILDREN
+    paths.  A block of T codes (a (T, 1) seed column), x of shape (T, n), runs
+    as T rows on shared leaf indices; below PRUNE_MIN_LEAVES only, as B = inf.
     """
-    x = _check_source_tuple(code, x, rho)
-    d, n = code.shape.d, code.shape.n
-    bound = np.inf
+    d, n, batch = code.shape.d, code.shape.n, np.shape(code.master_seed)[:-1]
+    x, bound = _check_source_tuple(code, x, rho, batch), np.inf
     if code.shape.num_walks >= PRUNE_MIN_LEAVES:
+        if batch:
+            raise ValueError(f"exact encoder: a block of codes needs fewer than {PRUNE_MIN_LEAVES} leaves")
         bound = _beam_sweep(code, x, rho, np.array([min(8, d ** (n - 1))]))[1][0]
-    idx, dist = np.zeros(1, dtype=np.uint64), np.zeros(1)  # survivors in leaf order, partial sums
+    idx, dist = np.zeros(1, dtype=np.uint64), np.zeros((*batch, 1))  # survivors in leaf order, partial sums
     for t in range(1, n + 1):
-        if idx.size * d > MAX_CHILDREN:
-            raise ValueError(f"exact encoder: {idx.size * d} paths at generation {t} exceed the memory budget; "
+        if dist.size * d > MAX_CHILDREN:
+            raise ValueError(f"exact encoder: {dist.size * d} paths at generation {t} exceed the memory budget; "
                              "lower shape.n, or set beam_width to encode with the beam encoder")
         idx = (d * idx[:, None] + np.arange(d, dtype=np.uint64)).ravel()
-        dist = np.repeat(dist, d) + rho.values[x[t - 1]][code._symbols_at(t, idx)]
-        keep = dist <= bound
-        idx, dist = idx[keep], dist[keep]
-    return EncodingResult(walk_from_leaf(int(idx[np.argmin(dist)]), code.shape), float(dist.min()))
+        y = code._symbols_at(t, idx)
+        dist = dist.repeat(d, -1) + (rho.values[x[:, t - 1, None], y] if batch else rho.values[x[t - 1]][y])
+        if bound < np.inf:
+            keep = dist <= bound
+            idx, dist = idx[keep], dist[keep]
+    total = dist.min(axis=-1)  # each row's walk: its first argmin
+    return EncodingResult(walk_from_leaf(idx[dist.argmin(axis=-1)], code.shape), total if batch else float(total))
 
 
 def _beam_sweep(code: TreeCode, x: np.ndarray, rho: DistortionMatrix, widths: np.ndarray) -> tuple[list, list]:
@@ -119,6 +125,9 @@ def _beam_sweep(code: TreeCode, x: np.ndarray, rho: DistortionMatrix, widths: np
     pool, dist = np.zeros(1, dtype=np.uint64), np.zeros(1)  # union of the rows' survivors in leaf order, partial sums
     member = np.ones((widths.size, 1), dtype=bool)  # member[r, k]: row r holds pool node k
     for t in range(1, n + 1):
+        if pool.size * d > MAX_CHILDREN:
+            raise ValueError(f"beam sweep: {pool.size * d} paths at generation {t} exceed the memory budget; "
+                             "lower shape.d or beam_width")
         pool = (d * pool[:, None] + np.arange(d, dtype=np.uint64)).ravel()
         dist = np.repeat(dist, d) + rho.values[x[t - 1]][code._symbols_at(t, pool)]
         order = np.argsort(dist, kind="stable")
@@ -264,22 +273,19 @@ def simulate_ensemble(
     Each trial draws a fresh code; the source n-tuple is redrawn per trial
     unless fixed_sequence is set, in which case one sequence is held across
     code redraws (the faithful test of the per-individual-sequence claim).
-    Below PRUNE_MIN_LEAVES leaves the trials' trees go as rows of one
-    tree_sweep, in blocks of at most model.BLOCK_CELLS leaves; larger trees
-    are encoded one trial at a time.
+    Below PRUNE_MIN_LEAVES leaves each block of at most model.BLOCK_CELLS
+    leaves is one encode_exact of a block of codes, one trial a row; larger
+    trees are encoded one trial at a time.
     """
     shape = TreeShape(d=d, n=n)
-    size = max(1, model.BLOCK_CELLS // shape.num_walks)  # trials a block sweeps
+    size = max(1, model.BLOCK_CELLS // shape.num_walks)  # trials a block encodes
 
-    def block(ts: np.ndarray, seeds: list[int]):
-        codes = TreeCode(np.array(seeds, dtype=np.uint64)[:, None], Q, shape)  # one trial's code a row
+    def block(ts: np.ndarray, seeds: np.ndarray):
         keys = (0 * ts if fixed_sequence else ts)[:, None]
         x = source.sample(uniforms(master_seed, SOURCE_STREAM, keys, np.arange(n, dtype=np.uint64)))
-        x = _check_source_tuple(codes, x, rho, ts.shape)
         if shape.num_walks >= PRUNE_MIN_LEAVES:
             return [encode_exact(TreeCode(seed, Q, shape), row, rho).per_symbol_mean for seed, row in zip(seeds, x)]
-        symbols = lambda t: codes._symbols_at(t, np.arange(d**t, dtype=np.uint64))  # generation t, one code a row
-        return tree_sweep(lambda t, out: rho.values[x[:, t - 1, None], symbols(t)], shape).min_energy / n
+        return encode_exact(TreeCode(seeds[:, None], Q, shape), x, rho).per_symbol_mean
 
     return run_trials(lambda ts, seeds: np.concatenate([block(ts[k : k + size], seeds[k : k + size])
                                                         for k in range(0, trials, size)]), trials, master_seed)

@@ -13,7 +13,7 @@ import numpy as np
 
 from cayleycodec import rd, treecode
 from cayleycodec.dprm import TreeShape
-from cayleycodec.rng import SOURCE_STREAM, TRIAL_STREAM, derive_seed
+from cayleycodec.rng import SOURCE_STREAM, TRIAL_STREAM, hash64
 
 
 def logsumexp(a):
@@ -164,7 +164,7 @@ def simulate_ensemble_loop(source, Q, rho, d, n, trials, master_seed, fixed_sequ
     values = []
     for t in range(trials):
         u = treecode.uniforms(master_seed, SOURCE_STREAM, 0 if fixed_sequence else t, np.arange(n, dtype=np.uint64))
-        code = treecode.TreeCode(derive_seed(master_seed, TRIAL_STREAM, t), Q, shape)
+        code = treecode.TreeCode(int(hash64(master_seed, TRIAL_STREAM, t)), Q, shape)
         values.append(treecode.encode_exact(code, source.sample(u), rho).per_symbol_mean)
     values = np.array(values)
     return values, float(values.mean()), float(values.std(ddof=1)) if trials > 1 else 0.0

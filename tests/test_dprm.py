@@ -27,8 +27,9 @@ from cayleycodec import (
     simulate_ensemble,
     validate_walk,
 )
+from cayleycodec import dprm
 from cayleycodec.dprm import tree_sweep
-from cayleycodec.rng import CODEBOOK_STREAM, ENERGY_STREAM, TRIAL_STREAM, derive_seed, uniforms
+from cayleycodec.rng import CODEBOOK_STREAM, ENERGY_STREAM, TRIAL_STREAM, hash64, uniforms
 from cayleycodec.theory import BETA_MAX
 
 GAUSS = EnergyDistribution.gaussian(0.0, 1.0)
@@ -237,28 +238,11 @@ def test_sweep_every_level_and_beta_matches_enumeration(d):
                         enumerate_internal_energy(energies, d, k, beta), abs=1e-10)
 
 
-@pytest.mark.parametrize("d, n", [(1, 3), (2, 1), (2, 9), (3, 5)])
-def test_batched_sweep_rows_equal_lone_sweeps_bit_for_bit(d, n):
-    # trees stacked on leading axes: every reduction runs per row, as in the row's own 1-D sweep
-    betas, levels = [0.3, 1.0, 7.0, BETA_MAX], list(range(1, n + 1))
-    seeds = np.arange(6).reshape(2, 3)
-    oracles = [[BranchEnergyOracle(int(s), GAUSS, TreeShape(d, n)) for s in row] for row in seeds]
-    batch = tree_sweep(lambda i, out: np.array([[o.generation_energies(i) for o in row] for row in oracles]),
-                       TreeShape(d, n), betas, levels)
-    assert batch.log_z.shape == batch.mean_energy.shape == (2, 3, n, len(betas))
-    assert batch.walk.shape == (2, 3, n) and batch.min_energy.shape == (2, 3)
-    for r, c in np.ndindex(2, 3):
-        lone = tree_sweep(oracles[r][c].generation_energies, TreeShape(d, n), betas, levels)
-        assert batch.log_z[r, c].tobytes() == lone.log_z.tobytes()
-        assert batch.mean_energy[r, c].tobytes() == lone.mean_energy.tobytes()
-        assert list(batch.walk[r, c]) == list(lone.walk) and float(batch.min_energy[r, c]) == lone.min_energy
-    assert type(lone.min_energy) is float
-
-
 def test_sweep_finite_at_beta_max():
     o = BranchEnergyOracle(3, GAUSS, TreeShape(d=2, n=8))
     sweep = tree_sweep(o.generation_energies, o.shape, [BETA_MAX], [4, 8])
     assert np.all(np.isfinite(sweep.log_z)) and np.all(np.isfinite(sweep.mean_energy))
+    assert type(sweep.min_energy) is float
     # frozen: ln Z -> -beta E_min and <E> -> E_min
     assert sweep.mean_energy[1, 0] == pytest.approx(sweep.min_energy, abs=1e-9)
     assert sweep.log_z[1, 0] == pytest.approx(-BETA_MAX * sweep.min_energy, rel=1e-12)
@@ -368,11 +352,9 @@ def test_monte_carlo_point_mass():
 
 
 def test_monte_carlo_single_trial_equals_direct():
-    from cayleycodec.rng import CODEBOOK_STREAM, ENERGY_STREAM, TRIAL_STREAM, derive_seed, uniforms
-
     shape = TreeShape(d=2, n=6)
     stats = monte_carlo_free_energy(2, [6], GAUSS, [0.8], 1, 555).cell(0, 0)
-    o = BranchEnergyOracle(derive_seed(555, TRIAL_STREAM, 0), GAUSS, shape)
+    o = BranchEnergyOracle(int(hash64(555, TRIAL_STREAM, 0)), GAUSS, shape)
     assert stats.values[0] == log_partition_function(o, 0.8) / (6 * 0.8)
 
 
@@ -401,16 +383,38 @@ def test_run_trials_hands_over_every_trial_and_its_child_seed_at_once():
     calls = []
 
     def trials_fn(ts, seeds):
-        calls.append((ts.tolist(), seeds))
+        calls.append((ts.tolist(), seeds.tolist()))
         return np.asarray(seeds, dtype=np.float64)
 
     stats = run_trials(trials_fn, 4, 99)
-    seeds = [derive_seed(99, TRIAL_STREAM, t) for t in range(4)]
+    seeds = [int(hash64(99, TRIAL_STREAM, t)) for t in range(4)]
     assert calls == [([0, 1, 2, 3], seeds)]
     assert np.array_equal(stats.values, np.array(seeds, dtype=np.float64))
     with pytest.raises(ValueError, match="trials must be >= 1"):
         run_trials(trials_fn, 0, 99)
     assert len(calls) == 1
+
+
+def test_run_trials_derives_every_child_seed_in_one_hash64_call(monkeypatch):
+    hashes, handed = [], []
+    real = dprm.hash64
+    monkeypatch.setattr(dprm, "hash64", lambda *keys: hashes.append(keys) or real(*keys))
+    trials, master = 10**5, 2**63 + 5
+    run_trials(lambda ts, seeds: handed.append(seeds) or np.zeros(trials), trials, master)
+    assert len(hashes) == 1 and handed[0].dtype == np.uint64
+    assert handed[0].tolist() == [int(hash64(master, TRIAL_STREAM, t)) for t in range(trials)]
+
+
+def test_run_trials_holds_a_few_words_a_trial():
+    # the trial indices and seeds as uint64 arrays, not a Python int per trial
+    trials = 10**6
+    tracemalloc.start()
+    try:
+        run_trials(lambda ts, seeds: np.zeros(trials), trials, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * trials
 
 
 def test_monte_carlo_matches_annealed_curve():

@@ -33,7 +33,6 @@ def test_hash64_random_keys_match_the_oracle():
         j = gen.integers(0, 2**64, int(gen.integers(1, 9)), dtype=np.uint64)
         assert rng.hash64(*scalars) == hash64_numpy(*scalars)
         assert np.array_equal(rng.hash64(*scalars, j), hash64_numpy(*scalars, j))
-        assert rng.derive_seed(*scalars) == int(hash64_numpy(*scalars))
 
 
 def test_a_seed_column_hashes_each_row_as_its_int_seed():

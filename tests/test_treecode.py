@@ -421,12 +421,58 @@ def test_pruned_exact_refuses_past_the_path_budget(monkeypatch, tmp_path, capsys
            "models": {"coding": {"probs": [0.25] * 4}, "distortion": {"hamming": 4}}}
     cfg = tmp_path / "encode.json"
     cfg.write_text(json.dumps(raw))
-    monkeypatch.setattr(treecode, "MAX_CHILDREN", 1)
+    monkeypatch.setattr(treecode, "MAX_CHILDREN", 64)  # the width-8 beam needs 42 paths a generation, the search 136
     assert main(["encode", "--config", str(cfg), "--out", str(tmp_path / "exact")]) == 1
     err = capsys.readouterr().err
     assert "shape.n" in err and "beam_width" in err and not (tmp_path / "exact").exists()
     cfg.write_text(json.dumps({**raw, "beam_width": 8}))
     assert main(["encode", "--config", str(cfg), "--out", str(tmp_path / "beam")]) == 0
+
+
+def test_both_encoders_refuse_past_the_path_budget_before_any_draw(monkeypatch, tmp_path, capsys):
+    # generation 1 has 2^14 children: the exact encoder's bound pass and the beam must refuse them undrawn
+    monkeypatch.setattr(treecode, "MAX_CHILDREN", 1000)
+    calls = record_draws(monkeypatch)
+    code, x = make_code(3, 2**14, 2), np.zeros(2, dtype=int)
+    with pytest.raises(ValueError, match="16384 paths at generation 1 exceed the memory budget"):
+        encode_exact(code, x, HAMMING4)
+    with pytest.raises(ValueError, match="16384 paths at generation 1 exceed the memory budget"):
+        encode_beam(code, x, HAMMING4, 1)
+    assert calls == []
+    raw = {"kind": "encode", "master_seed": 3, "shape": {"d": 2**14, "n": 2}, "x": [0, 0], "beam_width": 1,
+           "models": {"coding": {"probs": [0.25] * 4}, "distortion": {"hamming": 4}}}
+    cfg = tmp_path / "encode.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["encode", "--config", str(cfg), "--out", str(tmp_path / "beam")]) == 1
+    assert "beam_width" in capsys.readouterr().err and not (tmp_path / "beam").exists() and calls == []
+
+
+@pytest.mark.parametrize("d, ns", [(2, (1, 7, 13)), (3, (2, 8)), (4, (1, 6))])
+def test_a_block_of_codes_encodes_as_its_lone_codes_bit_for_bit(d, ns):
+    # T codes as rows of one search on shared leaf indices: walks, ties and totals as T lone encodes
+    rng = np.random.default_rng(d)
+    for n in ns:
+        for case in range(5):
+            rho = HAMMING4 if case == 4 else random_rho(rng, int(rng.integers(2, 6)), case)
+            Q = Q4 if case == 4 else CodingDistribution(rng.dirichlet(np.ones(rho.cols)))
+            for T in (1, 3, 9):
+                seeds, x = rng.integers(0, 2**64, T, dtype=np.uint64), rng.integers(0, rho.rows, (T, n))
+                block = encode_exact(TreeCode(seeds[:, None], Q, TreeShape(d, n)), x, rho)
+                assert block.walk.shape == (T, n) and block.total_distortion.shape == (T,)
+                for r in range(T):
+                    lone = encode_exact(TreeCode(int(seeds[r]), Q, TreeShape(d, n)), x[r], rho)
+                    assert block.walk[r].tolist() == lone.walk.tolist()
+                    assert block.total_distortion[r].hex() == lone.total_distortion.hex()
+                    assert block.per_symbol_mean[r] == lone.per_symbol_mean
+
+
+def test_a_block_of_codes_at_the_pruning_size_is_refused_before_any_draw(monkeypatch):
+    calls = record_draws(monkeypatch)
+    shape = TreeShape(2, 14)
+    assert shape.num_walks == treecode.PRUNE_MIN_LEAVES
+    with pytest.raises(ValueError, match="a block of codes needs fewer than 16384 leaves"):
+        encode_exact(TreeCode(np.arange(3, dtype=np.uint64)[:, None], Q4, shape), np.zeros((3, 14), dtype=int), HAMMING4)
+    assert calls == []
 
 
 def test_pack_binary_example():
