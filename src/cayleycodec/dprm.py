@@ -6,10 +6,10 @@ the leaf index j_n alone determines the whole walk.
 
 Energies are never materialized as a tree: each branch energy is a pure hash
 of (master_seed, i, j), so the sweep below regenerates whole generations as
-vectorized batches.  It runs top-down on path energies in leaf order, and one
-pass reads ln Z and <E> at every requested level and beta (a log-sum-exp
-shifted by the minimum path energy, so large beta does not underflow) and the
-ground state (the first argmin of the last level).
+vectorized batches.  It runs top-down on path energies in leaf order; one pass
+reads ln Z at every requested level and beta (a log-sum-exp shifted by the
+minimum path energy, so large beta does not underflow) and returns the last
+level's path energies, off which <E> and the ground state are read.
 
 A sweep works on one tree, in one float64 block of (3 + 1/d) d^n cells (the
 draws' scratch, P at even and odd distance from n, the log-sum-exp weights), by
@@ -91,27 +91,17 @@ class BranchEnergyOracle:
 # the top-down sweep
 
 
-@dataclass(frozen=True)
-class Sweep:
-    """What one pass reads off a tree: ln Z and <E> indexed [level, beta],
-    and the ground state (walk, total energy) at the last generation."""
-
-    log_z: np.ndarray
-    mean_energy: np.ndarray
-    walk: np.ndarray
-    min_energy: float
-
-
-def tree_sweep(energy_fn: Callable[..., np.ndarray], shape: TreeShape, betas=(), levels=None) -> Sweep:
+def tree_sweep(energy_fn: Callable[..., np.ndarray], shape: TreeShape, betas=(),
+               levels=None) -> tuple[np.ndarray, np.ndarray]:
     """One top-down pass over the path energies P_i = repeat(P_{i-1}, d) + e_i
     in leaf order, where energy_fn(i, out) gives the d^i energies e_i of
     generation i in branch order, in the d^i-cell scratch array out or in an
     array of its own.  P_0 = 0, so each walk sums left to right: (e_1 + e_2) + ...
 
-    At each level k in `levels` (default: n) and each finite beta > 0 it
-    records ln Z_k(beta) = ln sum exp(-beta P_k), shifted by min P_k, and the
-    Boltzmann mean <E>_k of P_k.  The ground state is the first argmin of
-    P_n; leaf order is lexicographic walk order, so that breaks ties.
+    Returns ln Z_k(beta) = ln sum exp(-beta P_k), shifted by min P_k, indexed
+    [level, beta] over each k in `levels` (default: n) and each finite beta > 0,
+    and P_n, a view into the sweep's block.  Leaf order is lexicographic walk
+    order, so the first argmin of P_n is the ground state with ties broken.
     """
     betas = np.asarray(betas, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(betas) & (betas > 0)):
@@ -122,7 +112,7 @@ def tree_sweep(energy_fn: Callable[..., np.ndarray], shape: TreeShape, betas=(),
     d, n, path = shape.d, shape.n, np.zeros(1)
     sizes = np.array([d**n, d**n, d ** (n - 1), d**n])  # scratch, P at even and odd n - i, weights
     scratch, even, odd, weights = np.split(np.empty(sizes.sum()), np.cumsum(sizes[:-1]))
-    log_z, mean_energy = np.empty((2, len(levels), betas.size))
+    log_z = np.empty((len(levels), betas.size))
     for i in range(1, n + 1):
         e = energy_fn(i, scratch[: d**i])
         out = (odd if (n - i) % 2 else even)[: d**i].reshape(-1, d)  # P_{i-1} lies in the other region
@@ -134,12 +124,8 @@ def tree_sweep(energy_fn: Callable[..., np.ndarray], shape: TreeShape, betas=(),
         excess = np.subtract(path, p_min, out=scratch[: d**i])  # e_i is spent
         w = weights[: d**i]
         for c, beta in enumerate(betas):
-            np.exp(np.multiply(excess, -beta, out=w), out=w)
-            s = w.sum()
-            log_z[rows, c] = np.log(s) - beta * p_min
-            mean_energy[rows, c] = np.multiply(w, path, out=w).sum() / s
-    leaf = int(path.argmin())
-    return Sweep(log_z, mean_energy, walk_from_leaf(leaf, shape), float(path[leaf]))
+            log_z[rows, c] = np.log(np.exp(np.multiply(excess, -beta, out=w), out=w).sum()) - beta * p_min
+    return log_z, path
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +133,21 @@ def tree_sweep(energy_fn: Callable[..., np.ndarray], shape: TreeShape, betas=(),
 
 
 def log_partition_function(oracle: BranchEnergyOracle, beta: float) -> float:
-    return float(tree_sweep(oracle.generation_energies, oracle.shape, [beta]).log_z[0, 0])
+    return float(tree_sweep(oracle.generation_energies, oracle.shape, [beta])[0][0, 0])
 
 
 def internal_energy(oracle: BranchEnergyOracle, beta: float) -> float:
     """Boltzmann-averaged total path energy <E> = -d/dbeta ln Z."""
-    return float(tree_sweep(oracle.generation_energies, oracle.shape, [beta]).mean_energy[0, 0])
+    _, path = tree_sweep(oracle.generation_energies, oracle.shape, [beta])  # [beta] checks beta
+    w = np.exp((path - path.min()) * -beta)
+    return float((w * path).sum() / w.sum())
 
 
 def ground_state(oracle: BranchEnergyOracle) -> tuple[np.ndarray, float]:
     """Minimum-energy walk and its total energy."""
-    sweep = tree_sweep(oracle.generation_energies, oracle.shape)
-    return sweep.walk, sweep.min_energy
+    _, path = tree_sweep(oracle.generation_energies, oracle.shape)
+    leaf = int(path.argmin())
+    return walk_from_leaf(leaf, oracle.shape), float(path[leaf])
 
 
 @dataclass(frozen=True)
@@ -205,6 +194,6 @@ def monte_carlo_free_energy(
 
     def sweep(seed: int) -> np.ndarray:
         oracle = BranchEnergyOracle(seed, energy_dist, shape)
-        return tree_sweep(oracle.generation_energies, shape, betas, ns).log_z / scale
+        return tree_sweep(oracle.generation_energies, shape, betas, ns)[0] / scale
 
     return run_trials(lambda ts, seeds: [sweep(seed) for seed in seeds], trials, master_seed)

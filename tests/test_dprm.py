@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from cayleycodec import (
     validate_walk,
 )
 from cayleycodec import dprm
-from cayleycodec.dprm import tree_sweep
+from cayleycodec.dprm import tree_sweep, walk_from_leaf
 from cayleycodec.rng import CODEBOOK_STREAM, ENERGY_STREAM, TRIAL_STREAM, hash64, uniforms
 from cayleycodec.theory import BETA_MAX
 
@@ -39,6 +40,13 @@ U4 = Pmf(np.full(4, 0.25))
 def chain_oracle(energies):
     """d=1 chain with prescribed energies, via a materialized energy_fn."""
     return {i: np.array([e]) for i, e in enumerate(energies, start=1)}
+
+
+def swept_ground_state(energies, shape):
+    """The first argmin of a sweep's last path energies: (walk, energy)."""
+    _, path = tree_sweep(lambda i, out: energies[i], shape)
+    leaf = int(path.argmin())
+    return list(walk_from_leaf(leaf, shape)), float(path[leaf])
 
 
 def test_tree_shape_validation():
@@ -105,7 +113,7 @@ def test_gaussian_batch_statistics():
 
 def test_log_partition_single_chain():
     # d=1, energies (1,2,3), beta=1 -> ln Z = -6
-    lz = tree_sweep(lambda i, out: chain_oracle([1.0, 2.0, 3.0])[i], TreeShape(1, 3), [1.0]).log_z[0, 0]
+    lz = tree_sweep(lambda i, out: chain_oracle([1.0, 2.0, 3.0])[i], TreeShape(1, 3), [1.0])[0][0, 0]
     assert lz == pytest.approx(-6.0, abs=1e-12)
 
 
@@ -137,7 +145,7 @@ def test_free_energy_per_step_sign_convention():
     o = BranchEnergyOracle(1, EnergyDistribution.discrete([0.0], [1.0]), TreeShape(d=2, n=3))
     assert log_partition_function(o, 1.0) / (3 * 1.0) == pytest.approx(math.log(2), abs=1e-12)
     # d=1 chain: f = -(mean energy), independent of beta
-    f = tree_sweep(lambda i, out: chain_oracle([1.0, 2.0, 3.0])[i], TreeShape(1, 3), [2.0]).log_z[0, 0] / (3 * 2.0)
+    f = tree_sweep(lambda i, out: chain_oracle([1.0, 2.0, 3.0])[i], TreeShape(1, 3), [2.0])[0][0, 0] / (3 * 2.0)
     assert f == pytest.approx(-2.0, abs=1e-12)
 
 
@@ -149,7 +157,8 @@ def test_internal_energy_constant_energies():
 
 def test_internal_energy_chain_is_total():
     energies = [0.4, -1.2, 2.0]
-    me = tree_sweep(lambda i, out: chain_oracle(energies)[i], TreeShape(1, 3), [1.7]).mean_energy[0, 0]
+    chain = SimpleNamespace(generation_energies=lambda i, out=None: chain_oracle(energies)[i], shape=TreeShape(1, 3))
+    me = internal_energy(chain, 1.7)
     assert me == pytest.approx(sum(energies), abs=1e-12)
 
 
@@ -181,8 +190,7 @@ def test_ground_state_tie_break_is_lexicographic():
 
 def test_ground_state_chain():
     energies = [0.3, -0.8, 1.1]
-    sweep = tree_sweep(lambda i, out: chain_oracle(energies)[i], TreeShape(1, 3))
-    walk, e = sweep.walk, sweep.min_energy
+    walk, e = swept_ground_state(chain_oracle(energies), TreeShape(1, 3))
     assert list(walk) == [0, 0, 0]
     assert e == pytest.approx(sum(energies), abs=1e-12)
 
@@ -203,10 +211,9 @@ def test_ground_state_tie_break_exact_on_float_sums():
     # walk is, (.3 + .2) + .1 == .6 < (.1 + .2) + .3, so leaf 6 is the minimum
     energies = {1: np.array([0.1, 0.3]), 2: np.array([0.2] * 4),
                 3: np.array([0.3, 0.9, 0.9, 0.9, 0.9, 0.9, 0.1, 0.9])}
-    sweep = tree_sweep(lambda i, out: energies[i], TreeShape(2, 3))
     bwalk, be = enumerate_ground_state(energies, 2, 3)
     assert list(bwalk) == [1, 3, 6]
-    assert list(sweep.walk) == list(bwalk) and sweep.min_energy == be
+    assert swept_ground_state(energies, TreeShape(2, 3)) == (list(bwalk), be)
 
 
 @pytest.mark.parametrize("d,n", [(2, 5), (3, 4)])
@@ -216,9 +223,8 @@ def test_ground_state_matches_enumeration_exactly_with_float_ties(d, n):
     rng = np.random.default_rng(d * 100 + n)
     for _ in range(20):
         energies = {i: rng.choice([0.1, 0.2, 0.3, 0.7], size=d**i) for i in range(1, n + 1)}
-        sweep = tree_sweep(lambda i, out: energies[i], TreeShape(d, n))
         bwalk, be = enumerate_ground_state(energies, d, n)
-        assert list(sweep.walk) == list(bwalk) and sweep.min_energy == be
+        assert swept_ground_state(energies, TreeShape(d, n)) == (list(bwalk), be)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -229,23 +235,28 @@ def test_sweep_every_level_and_beta_matches_enumeration(d):
             o = BranchEnergyOracle(seed, GAUSS, TreeShape(d=d, n=n))
             energies = oracle_energies(o)
             levels = list(range(1, n + 1))
-            sweep = tree_sweep(o.generation_energies, o.shape, betas, levels)
+            log_z, path = tree_sweep(o.generation_energies, o.shape, betas, levels)
+            assert path.shape == (d**n,)
             for r, k in enumerate(levels):
+                # a depth-k oracle of the same seed draws the same first k generations
+                at_k = BranchEnergyOracle(seed, GAUSS, TreeShape(d=d, n=k))
                 for c, beta in enumerate(betas):
-                    assert sweep.log_z[r, c] == pytest.approx(
+                    assert log_z[r, c] == pytest.approx(
                         enumerate_log_partition(energies, d, k, beta), abs=1e-10)
-                    assert sweep.mean_energy[r, c] == pytest.approx(
+                    assert internal_energy(at_k, beta) == pytest.approx(
                         enumerate_internal_energy(energies, d, k, beta), abs=1e-10)
 
 
 def test_sweep_finite_at_beta_max():
     o = BranchEnergyOracle(3, GAUSS, TreeShape(d=2, n=8))
-    sweep = tree_sweep(o.generation_energies, o.shape, [BETA_MAX], [4, 8])
-    assert np.all(np.isfinite(sweep.log_z)) and np.all(np.isfinite(sweep.mean_energy))
-    assert type(sweep.min_energy) is float
+    log_z, _ = tree_sweep(o.generation_energies, o.shape, [BETA_MAX], [4, 8])
+    mean_energy = [internal_energy(BranchEnergyOracle(3, GAUSS, TreeShape(d=2, n=k)), BETA_MAX) for k in (4, 8)]
+    assert np.all(np.isfinite(log_z)) and np.all(np.isfinite(mean_energy))
+    _, min_energy = ground_state(o)
+    assert type(min_energy) is float
     # frozen: ln Z -> -beta E_min and <E> -> E_min
-    assert sweep.mean_energy[1, 0] == pytest.approx(sweep.min_energy, abs=1e-9)
-    assert sweep.log_z[1, 0] == pytest.approx(-BETA_MAX * sweep.min_energy, rel=1e-12)
+    assert mean_energy[1] == pytest.approx(min_energy, abs=1e-9)
+    assert log_z[1, 0] == pytest.approx(-BETA_MAX * min_energy, rel=1e-12)
 
 
 def test_sweep_rejects_bad_levels_and_beta():
@@ -256,6 +267,19 @@ def test_sweep_rejects_bad_levels_and_beta():
     for beta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             tree_sweep(o.generation_energies, o.shape, [1.0, beta])
+
+
+def test_probe_values_keep_their_recorded_bits():
+    # Gaussian(0, 1), seed 5, (2, 18), beta = 3: recorded when the sweep itself read <E> and the ground state
+    o = BranchEnergyOracle(5, GAUSS, TreeShape(d=2, n=18))
+    assert log_partition_function(o, 3.0).hex() == "0x1.85fecb4f8d8abp+5"
+    assert internal_energy(o, 3.0).hex() == "-0x1.f337103025687p+3"
+    walk, e_min = ground_state(o)
+    assert e_min.hex() == "-0x1.ff9a8f0eef501p+3"
+    assert walk.tolist() == [0, 0, 1, 2, 4, 8, 17, 35, 70, 141, 282, 565, 1131, 2263, 4526, 9052, 18105, 36210]
+    for beta in (0.0, -1.0, math.inf, math.nan):  # <E> still sweeps with [beta], so beta is checked
+        with pytest.raises(ValueError):
+            internal_energy(o, beta)
 
 
 DISCRETE = EnergyDistribution.discrete([0.0, 0.5, 2.0], [0.2, 0.5, 0.3])
@@ -325,12 +349,12 @@ def test_log_partition_monotone_in_each_energy():
     rng = np.random.default_rng(0)
     d, n, beta = 2, 3, 1.2
     base = {i: rng.normal(size=d**i) for i in range(1, n + 1)}
-    lz0 = tree_sweep(lambda i, out: base[i], TreeShape(d, n), [beta]).log_z[0, 0]
+    lz0 = tree_sweep(lambda i, out: base[i], TreeShape(d, n), [beta])[0][0, 0]
     for i in range(1, n + 1):
         for j in range(d**i):
             bumped = {k: v.copy() for k, v in base.items()}
             bumped[i][j] += 0.5
-            lz1 = tree_sweep(lambda i, out: bumped[i], TreeShape(d, n), [beta]).log_z[0, 0]
+            lz1 = tree_sweep(lambda i, out: bumped[i], TreeShape(d, n), [beta])[0][0, 0]
             assert lz1 < lz0
 
 

@@ -8,7 +8,9 @@ import pytest
 from scipy.optimize import brentq
 
 from bruteforce import enumerate_ground_state, enumerate_log_partition
-from exact_laws import gaussian_mean_free_energy, mean_log_partition, tree_minimum_pmf
+from exact_laws import gaussian_mean_free_energy, mean_log_partition, tree_minimum_moments, tree_minimum_pmf
+from cayleycodec import EnergyDistribution
+from cayleycodec.theory import FreeEnergyLimit
 
 
 def every_pattern(values, probs, d, n):
@@ -63,3 +65,21 @@ def test_hamming4_expected_gap_values():
     laws = tree_minimum_pmf([0, 1], [0.25, 0.75], 2, 18)
     gaps = [laws[n] @ np.arange(laws[n].size) / n - target for n in (10, 14, 18)]
     assert [round(g, 4) for g in gaps] == [0.1389, 0.1131, 0.0961]
+
+
+@pytest.mark.parametrize("values, probs, d", [
+    ([0, 1], [0.25, 0.75], 2),
+    ([0, 1], [0.25, 0.75], 3),
+    ([0, 1, 2], [0.2, 0.5, 0.3], 2),
+    ([0, 2, 3], [0.3, 0.3, 0.4], 2),
+])
+def test_tree_minimum_has_the_bramson_log_term(values, probs, d):
+    # E M_n = n D0 + (3 / (2 beta_c)) ln n + C + o(1) (Bramson 1978; Addario-Berry & Reed, Hu & Shi 2009):
+    # C(n) settles, its last step smaller than the one before and than half of the ln 2 / (2 beta_c) it
+    # would take with 1 / beta_c in place of 3 / (2 beta_c)
+    limit = FreeEnergyLimit.for_distribution(EnergyDistribution.discrete(values, probs), d)
+    means, _ = tree_minimum_moments(values, probs, d, 1000)
+    c = {n: means[n] - n * limit.d0 - 1.5 / limit.beta_c * math.log(n) for n in (250, 500, 1000)}
+    step = abs(c[1000] - c[500])
+    assert step < abs(c[500] - c[250])
+    assert step < 0.5 * math.log(2) / (2 * limit.beta_c)

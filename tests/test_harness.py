@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycodec import decode_sequential, read_bitstream, TreeCode, TreeShape, DistortionMatrix
+from cayleycodec import EnergyDistribution, monte_carlo_free_energy
 from cayleycodec.model import CodingDistribution
 from cayleycodec.cli import main
 from cayleycodec.theory import BETA_MAX
+from cayleycodec.treecode import MEMORY_BUDGET
 from cayleycodec.harness import (
     EXIT_NOT_APPLICABLE,
     EXIT_OK,
@@ -854,6 +857,41 @@ def test_dprm_converge_refuses_a_sweep_past_half_of_physical_memory():
     with pytest.raises(ConfigError, match="shape.n_list"):
         ExperimentConfig.from_dict(converge_config(shape={"d": 2, "n_list": [2**63]}))
     assert ExperimentConfig.from_dict(converge_config(shape={"d": 2, "n_list": [16]})).n_list == [16]
+
+
+def trial_bytes(raw):
+    """The parser's bound on run_trials' peak a trial: 192 bytes and 24 a cell for dprm-converge, else 320."""
+    if raw["kind"] != "dprm-converge":
+        return 320
+    return 192 + 24 * len(raw["shape"]["n_list"]) * len(raw["beta_grid"])
+
+
+@pytest.mark.parametrize("ns, betas", [([1], [1.0]), ([1, 2, 3], [0.5, 1.2, 3.0])])
+def test_trial_bound_covers_the_measured_peak(ns, betas):
+    # 195 and 324 bytes a trial measured at 1 and 9 cells; the trees are tiny, so the held values dominate
+    trials, law = 500, EnergyDistribution.gaussian(0.0, 1.0)
+    monte_carlo_free_energy(2, ns, law, betas, 2, 0)  # imports scipy.special and builds the law's cdf outside the count
+    tracemalloc.start()
+    try:
+        monte_carlo_free_energy(2, ns, law, betas, trials, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= trials * trial_bytes(converge_config(shape={"d": 2, "n_list": ns}, beta_grid=betas))
+
+
+@pytest.mark.parametrize("kind", ["dprm-converge", "ensemble", "verify-theorem"])
+def test_cli_refuses_trials_past_half_of_physical_memory(tmp_path, capsys, kind):
+    # parsed only, never run: the most trials the budget holds pass, one more exits 1 and writes nothing
+    most = MEMORY_BUDGET // trial_bytes(FULL_CONFIGS[kind])
+    assert ExperimentConfig.from_dict(FULL_CONFIGS[kind] | {"trials": most}).trials == most
+    with pytest.raises(ConfigError, match="trials: "):
+        ExperimentConfig.from_dict(FULL_CONFIGS[kind] | {"trials": 2**64 - 1})
+    out = tmp_path / "out"
+    raw = FULL_CONFIGS[kind] | {"trials": most + 1}
+    assert main([kind, "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert "error: trials: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_readme_configs_parse():

@@ -30,3 +30,30 @@ def test_run_phase_diagram_script(tmp_path):
     assert script.main(["--out", str(out), "--step", "0.01", "--halfwidth", "0.1"]) == 0
     summary = json.loads((out / "phase_scan_summary.json").read_text())
     assert summary["transition"] == "DETECTED"
+
+
+def canned(value_a, value_b, correct=True):
+    """A perfbench run record holding two metrics and its result line."""
+    metrics = {"cycle_best_ms": {"value": value_a, "unit": "ms"}, "peak_rss_mb": {"value": value_b, "unit": "MB"}}
+    return {"workload": "w", "result": {"correct": correct, "failed": 0 if correct else 2, "metrics": metrics}}
+
+
+def test_bench_summary_of_canned_runs():
+    bench = load_script("bench")
+    metrics = [{"name": "cycle_best_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "higher", "bound": 0.1}]
+    base = [canned(a, b) for a, b in [(10.0, 5.0), (12.0, 5.0), (11.0, 5.0), (14.0, 5.0), (13.0, 5.0)]]
+    change = [canned(a, b, correct=k != 2) for k, (a, b) in enumerate([(9.0, 6.0), (12.0, 4.0), (10.0, 5.0),
+                                                                       (15.0, 7.0), (8.0, 5.0)])]
+    out = bench.summarize({"w": {"base": base, "change": change}}, metrics)["w"]
+    assert out["correct"] == {"base": True, "change": False}
+    assert out["failed_ops"] == {"base": [0] * 5, "change": [0, 0, 2, 0, 0]}
+    cycle = out["metrics"]["cycle_best_ms"]
+    assert cycle["base"] == [10.0, 12.0, 11.0, 14.0, 13.0] and cycle["change"] == [9.0, 12.0, 10.0, 15.0, 8.0]
+    assert (cycle["base_median"], cycle["change_median"]) == (12.0, 10.0)
+    assert cycle["base_iqr"] == 13.0 - 11.0  # inclusive quartiles of the base runs
+    assert (cycle["pairs_won"], cycle["pairs"]) == (3, 5)  # lower wins; the tie in pair 2 is not a win
+    rss = out["metrics"]["peak_rss_mb"]
+    assert (rss["base_iqr"], rss["pairs_won"], rss["better"]) == (0.0, 2, "higher")
+    one = bench.summarize({"w": {"base": base[:1], "change": change[:1]}}, metrics)["w"]["metrics"]["cycle_best_ms"]
+    assert (one["base_iqr"], one["pairs_won"], one["pairs"]) == (0.0, 1, 1)

@@ -103,12 +103,7 @@ def test_encode_exact_is_dprm_ground_state():
         code = make_code(seed, 2, 6)
         x = (np.arange(6) * 7) % 4
         res = encode_exact(code, x, HAMMING4)
-
-        def energy_fn(t, out):
-            return HAMMING4.values[x[t - 1]][generation_symbols(code, t)]
-
-        sweep = tree_sweep(energy_fn, TreeShape(2, 6))
-        walk, emin = sweep.walk, sweep.min_energy
+        walk, emin = full_sweep(code, x, HAMMING4)
         assert list(res.walk) == list(walk)
         assert res.total_distortion == pytest.approx(emin, abs=1e-12)
 
@@ -364,8 +359,9 @@ def test_exact_draws_each_generation_once(monkeypatch):
 
 def full_sweep(code, x, rho):
     """(walk, total) of one tree_sweep over all d^n leaves: the oracle for the pruned search."""
-    sweep = tree_sweep(lambda t, out: rho.values[x[t - 1]][generation_symbols(code, t)], code.shape)
-    return list(sweep.walk), sweep.min_energy
+    _, path = tree_sweep(lambda t, out: rho.values[x[t - 1]][generation_symbols(code, t)], code.shape)
+    leaf = int(path.argmin())
+    return walk_from_leaf(leaf, code.shape).tolist(), float(path[leaf])
 
 
 @pytest.mark.parametrize("d, n", [(2, 1), (5, 3), (2, 8), (2, 14), (2, 15), (3, 9), (4, 7), (2, 16)])
