@@ -4,9 +4,10 @@
     python3 scripts/bench.py --base HEAD --label mychange
 
 Extracts `--base` with `git archive` into a temporary directory and runs the
-repository's benchmark, `perfbench/run.py`, unchanged, in each tree: one run
-of each side a pair, the base first in odd pairs and second in even ones, so
-a slow spell of a shared host hits both sides alike.  `run.py` imports the
+repository's benchmark, `perfbench/run.py`, unchanged, in each tree: ten
+pairs of seed-0 runs of every BENCHMARK.json workload at its `run_seconds`,
+one run of each side a pair, the base first in odd pairs and second in even
+ones, so a slow spell of a shared host hits both sides alike.  `run.py` imports the
 package from its own tree's `src/`, so each side runs its own code.  For each
 workload and each end-to-end metric that BENCHMARK.json lists, it writes
 every value, the two medians, the base's interquartile range and the pairs
@@ -23,11 +24,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HOST_FIELDS = ("nproc", "cpu_model", "python", "numpy", "scipy")
+PAIRS, SEED = 10, 0
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float) -> dict:
     """One perfbench run in tree: its run record, with the result line as "result"."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED), "--seconds", str(seconds)]
     lines = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout.splitlines()
     return json.loads(lines[-2])["run_record"] | {"result": json.loads(lines[-1])}
 
@@ -43,7 +45,7 @@ def summarize(runs: dict, metrics: list) -> dict:
                    "metrics": {}}
         for m in metrics:
             base, change = ([r["metrics"][m["name"]]["value"] for r in results[s]] for s in ("base", "change"))
-            q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive") if len(base) > 1 else base * 3
+            q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
             sign = 1 if m["better"] == "lower" else -1
             summary["metrics"][m["name"]] = {
                 "unit": m["unit"], "better": m["better"], "base": base, "change": change,
@@ -60,30 +62,27 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
     ap.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]])
     args = ap.parse_args(argv)
+    seconds, workloads = bench["run_seconds"], [w["name"] for w in bench["workloads"]]
 
     git = lambda *a: subprocess.run(["git", *a], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
     base_rev, head = git("rev-parse", "--verify", args.base + "^{commit}"), git("rev-parse", "HEAD")
-    runs = {w: {"base": [], "change": []} for w in args.workloads}
+    runs = {w: {"base": [], "change": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tree:
         archive = subprocess.run(["git", "archive", base_rev], cwd=ROOT, capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", base_tree], input=archive, check=True)
-        for k in range(1, args.pairs + 1):
-            for w in args.workloads:
+        for k in range(1, PAIRS + 1):
+            for w in workloads:
                 order = [("base", Path(base_tree)), ("change", ROOT)]
                 for side, tree in order if k % 2 else order[::-1]:
-                    runs[w][side].append(run_once(tree, w, args.seed, args.seconds))
-                    print(f"pair {k}/{args.pairs} {w} {side}: {runs[w][side][-1]['result']['metrics']}", flush=True)
-    record = runs[args.workloads[0]]["change"][0]
+                    runs[w][side].append(run_once(tree, w, seconds))
+                    print(f"pair {k}/{PAIRS} {w} {side}: {runs[w][side][-1]['result']['metrics']}", flush=True)
+    record = runs[workloads[0]]["change"][0]
     report = {
         "label": args.label,
         "base": base_rev,
         "change": f"working tree on {head}" + (" (uncommitted changes)" if git("status", "--porcelain") else ""),
-        "pairs": args.pairs, "seconds": args.seconds, "workload_seed": args.seed,
+        "pairs": PAIRS, "seconds": seconds, "workload_seed": SEED,
         "host": {f: record[f] for f in HOST_FIELDS},
         "workloads": summarize(runs, bench["end_to_end"]),
     }

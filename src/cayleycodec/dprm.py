@@ -139,8 +139,9 @@ def log_partition_function(oracle: BranchEnergyOracle, beta: float) -> float:
 def internal_energy(oracle: BranchEnergyOracle, beta: float) -> float:
     """Boltzmann-averaged total path energy <E> = -d/dbeta ln Z."""
     _, path = tree_sweep(oracle.generation_energies, oracle.shape, [beta])  # [beta] checks beta
-    w = np.exp((path - path.min()) * -beta)
-    return float((w * path).sum() / w.sum())
+    w = np.subtract(path, path.min())
+    s = np.exp(np.multiply(w, -beta, out=w), out=w).sum()
+    return float(np.multiply(w, path, out=w).sum() / s)
 
 
 def ground_state(oracle: BranchEnergyOracle) -> tuple[np.ndarray, float]:

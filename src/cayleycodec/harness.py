@@ -194,8 +194,7 @@ class ExperimentConfig:
         if kind == "dprm-converge" and (n > 64 or 36 * cfg.d**n > treecode.MEMORY_BUDGET):
             raise ConfigError(f"shape.n_list: a sweep to n = {n} at d = {cfg.d} needs about 36 d^n bytes, "
                               f"more than half of physical memory ({treecode.MEMORY_BUDGET} bytes)")
-        # run_trials holds every trial at once: <= 192 bytes a dprm-converge trial and 24 a cell (195 / 324 / 7,282
-        # measured at 1 / 9 / 300 cells), 320 an ensemble trial (290 measured, in one-trial blocks at 2^20 leaves)
+        # run_trials holds every trial at once: <= 192 bytes a dprm-converge trial + 24 a cell, 320 an ensemble trial
         need = cfg.trials * (192 + 24 * len(cfg.n_list) * len(cfg.betas) if kind == "dprm-converge" else 320)
         if need > treecode.MEMORY_BUDGET:
             raise ConfigError(f"trials: {cfg.trials} trials need about {need} bytes, more than half of physical memory "

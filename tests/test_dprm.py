@@ -334,6 +334,19 @@ def test_one_trial_peaks_within_36_bytes_a_leaf(law, d, n):
     assert peak <= 36 * d**n + 64 * 1024
 
 
+def test_internal_energy_peaks_within_36_bytes_a_leaf():
+    # path keeps the sweep's block alive, so <E> may take one d^n temporary beside it, as the sweep's weights did
+    d, n = 2, 16
+    internal_energy(BranchEnergyOracle(5, GAUSS, TreeShape(d, 2)), 1.0)  # scipy.special and the cdf outside the count
+    tracemalloc.start()
+    try:
+        internal_energy(BranchEnergyOracle(5, GAUSS, TreeShape(d, n)), 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * d**n + 64 * 1024
+
+
 def test_sandwich_inequality_per_realization():
     for seed in range(20):
         d, n = (2, 6) if seed % 2 else (3, 4)
