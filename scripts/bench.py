@@ -11,27 +11,50 @@ ones, so a slow spell of a shared host hits both sides alike.  `run.py` imports 
 package from its own tree's `src/`, so each side runs its own code.  For each
 workload and each end-to-end metric that BENCHMARK.json lists, it writes
 every value, the two medians, the base's interquartile range and the pairs
-the working tree won to BENCH_<label>.json at the repository root.
+the working tree won to BENCH_<label>.json at the repository root.  It also
+records one tier-1 run of each side (wall time and pytest's outcome counts)
+and one seed-0 `--trace 1` run of each workload on the working tree, for the
+per-layer metrics and the probe rows.
 """
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HOST_FIELDS = ("nproc", "cpu_model", "python", "numpy", "scipy")
 PAIRS, SEED = 10, 0
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]  # run with src/ on PYTHONPATH
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float, trace: int = 0) -> dict:
     """One perfbench run in tree: its run record, with the result line as "result"."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED), "--seconds", str(seconds)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED), "--seconds", str(seconds),
+           "--trace", str(trace)]
     lines = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout.splitlines()
     return json.loads(lines[-2])["run_record"] | {"result": json.loads(lines[-1])}
+
+
+def tier1_counts(output: str) -> dict:
+    """The outcome counts in pytest's closing summary line, e.g. {"passed": 465, "failed": 2}."""
+    last = (output.strip().splitlines() or [""])[-1]
+    found = re.findall(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)\b", last)
+    return {("error" if word.startswith("error") else word): int(n) for n, word in found}
+
+
+def tier1(tree: Path) -> dict:
+    """One tier-1 run in tree: its wall time and outcome counts."""
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
+    return {"wall_s": round(time.perf_counter() - t0, 2), **tier1_counts(done.stdout)}
 
 
 def summarize(runs: dict, metrics: list) -> dict:
@@ -77,6 +100,9 @@ def main(argv=None) -> int:
                 for side, tree in order if k % 2 else order[::-1]:
                     runs[w][side].append(run_once(tree, w, seconds))
                     print(f"pair {k}/{PAIRS} {w} {side}: {runs[w][side][-1]['result']['metrics']}", flush=True)
+        suites = {side: tier1(tree) for side, tree in (("base", Path(base_tree)), ("change", ROOT))}
+        print(f"tier-1: {suites}", flush=True)
+    traced = {w: run_once(ROOT, w, seconds, trace=1) for w in workloads}
     record = runs[workloads[0]]["change"][0]
     report = {
         "label": args.label,
@@ -85,6 +111,9 @@ def main(argv=None) -> int:
         "pairs": PAIRS, "seconds": seconds, "workload_seed": SEED,
         "host": {f: record[f] for f in HOST_FIELDS},
         "workloads": summarize(runs, bench["end_to_end"]),
+        "tier1": suites,
+        "trace": {w: {"correct": r["result"]["correct"], "metrics": r["metrics"],
+                      "trace_unwrapped": r["trace_unwrapped"]} for w, r in traced.items()},
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")

@@ -154,8 +154,8 @@ def ground_state(oracle: BranchEnergyOracle) -> tuple[np.ndarray, float]:
 @dataclass(frozen=True)
 class MonteCarloStats:
     """Trial statistics.  For array-valued trials, mean and std have the
-    trial's shape, values carries the trials along axis 0, and cell(*index)
-    gives the statistics of one entry."""
+    trial's shape, values carries the trials along axis 0 (a view of their
+    trials-last array), and cell(*index) gives the statistics of one entry."""
 
     mean: float | np.ndarray
     std: float | np.ndarray
@@ -165,22 +165,32 @@ class MonteCarloStats:
         return MonteCarloStats(float(self.mean[index]), float(self.std[index]), self.values[(slice(None), *index)])
 
 
+def trial_bytes(cells: int) -> int:
+    """run_trials' bytes a trial: 8 a cell held and 8 for std's temporary, 16 for a block's index and seed."""
+    return 16 * cells + 16
+
+
 def run_trials(trials_fn: Callable[[np.ndarray, np.ndarray], Sequence], trials: int,
-               master_seed: int) -> MonteCarloStats:
-    """Calls trials_fn(ts, seeds) once, with ts = 0..trials-1 and their child
-    seeds hash64(master_seed, TRIAL_STREAM, t), both as uint64 arrays, so trials
-    are independent and may be batched; it returns one value per trial, in trial order."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    ts = np.arange(trials, dtype=np.uint64)
-    values = np.array(trials_fn(ts, hash64(master_seed, TRIAL_STREAM, ts)))
-    # trials last and contiguous, so every cell reduces exactly as a 1-D run would
-    by_cell = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+               master_seed: int, block: int) -> MonteCarloStats:
+    """Calls trials_fn(ts, seeds) on each block of at most `block` consecutive trials:
+    their indices and child seeds hash64(master_seed, TRIAL_STREAM, t) as uint64 arrays,
+    so trials may be batched.  It returns one value per trial, in order, held in one array."""
+    if trials < 1 or block < 1:
+        raise ValueError("trials must be >= 1, and block too")
+    for k in range(0, trials, block):
+        ts = np.arange(k, min(k + block, trials), dtype=np.uint64)
+        got = np.asarray(trials_fn(ts, hash64(master_seed, TRIAL_STREAM, ts)), dtype=np.float64)
+        if k == 0:  # trials last, so every cell reduces exactly as a 1-D run would
+            by_cell = np.empty((*got.shape[1:], trials))
+        if got.shape != (ts.size, *by_cell.shape[:-1]):
+            raise ValueError(f"trials_fn returned shape {got.shape} for {ts.size} trials of shape {by_cell.shape[:-1]}")
+        np.moveaxis(by_cell, -1, 0)[k : k + ts.size] = got
+    del ts, got  # only the values are held while std takes its temporary
     mean = by_cell.mean(axis=-1)
     std = by_cell.std(axis=-1, ddof=1) if trials > 1 else np.zeros_like(mean)
-    if values.ndim == 1:
+    if by_cell.ndim == 1:
         mean, std = float(mean), float(std)
-    return MonteCarloStats(mean=mean, std=std, values=values)
+    return MonteCarloStats(mean=mean, std=std, values=np.moveaxis(by_cell, -1, 0))
 
 
 def monte_carlo_free_energy(
@@ -197,4 +207,4 @@ def monte_carlo_free_energy(
         oracle = BranchEnergyOracle(seed, energy_dist, shape)
         return tree_sweep(oracle.generation_energies, shape, betas, ns)[0] / scale
 
-    return run_trials(lambda ts, seeds: [sweep(seed) for seed in seeds], trials, master_seed)
+    return run_trials(lambda ts, seeds: [sweep(seed) for seed in seeds], trials, master_seed, 1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rd, theory, treecode
-from .dprm import TreeShape, monte_carlo_free_energy
+from .dprm import TreeShape, monte_carlo_free_energy, trial_bytes
 from .model import (
     DistortionMatrix,
     EnergyDistribution,
@@ -194,8 +194,8 @@ class ExperimentConfig:
         if kind == "dprm-converge" and (n > 64 or 36 * cfg.d**n > treecode.MEMORY_BUDGET):
             raise ConfigError(f"shape.n_list: a sweep to n = {n} at d = {cfg.d} needs about 36 d^n bytes, "
                               f"more than half of physical memory ({treecode.MEMORY_BUDGET} bytes)")
-        # run_trials holds every trial at once: <= 192 bytes a dprm-converge trial + 24 a cell, 320 an ensemble trial
-        need = cfg.trials * (192 + 24 * len(cfg.n_list) * len(cfg.betas) if kind == "dprm-converge" else 320)
+        # run_trials holds every trial's values; an ensemble trial is one cell
+        need = cfg.trials * trial_bytes(len(cfg.n_list) * len(cfg.betas) if kind == "dprm-converge" else 1)
         if need > treecode.MEMORY_BUDGET:
             raise ConfigError(f"trials: {cfg.trials} trials need about {need} bytes, more than half of physical memory "
                               f"({treecode.MEMORY_BUDGET} bytes)")
@@ -320,11 +320,8 @@ def run_rd_curve(cfg: ExperimentConfig) -> Outputs:
 def run_ensemble(cfg: ExperimentConfig) -> Outputs:
     # the bound D0 exists only under the symmetry hypothesis; SymmetryError otherwise
     limit = theory.FreeEnergyLimit.for_distribution(symmetric_energy_law(cfg.coding, cfg.distortion), cfg.d)
-    stats = treecode.simulate_ensemble(
-        cfg.source, cfg.coding, cfg.distortion,
-        cfg.d, cfg.n, cfg.trials, cfg.master_seed,
-        fixed_sequence=cfg.fixed_sequence,
-    )
+    stats = treecode.simulate_ensemble(cfg.source, cfg.coding, cfg.distortion, cfg.d, cfg.n, cfg.trials,
+                                       cfg.master_seed, fixed_sequence=cfg.fixed_sequence)
     return Outputs({
         "master_seed": cfg.master_seed,
         "d": cfg.d,
@@ -347,11 +344,8 @@ def run_verify_theorem(cfg: ExperimentConfig) -> Outputs:
     rows = []
     if report.applicable:
         for n in cfg.n_list:
-            stats = treecode.simulate_ensemble(
-                cfg.source, report.point.Q_star, cfg.distortion,
-                cfg.d, n, cfg.trials, cfg.master_seed,
-                fixed_sequence=cfg.fixed_sequence,
-            )
+            stats = treecode.simulate_ensemble(cfg.source, report.point.Q_star, cfg.distortion, cfg.d, n,
+                                               cfg.trials, cfg.master_seed, fixed_sequence=cfg.fixed_sequence)
             rows.append((n, stats.mean, stats.std, report.d_of_r, stats.mean - report.d_of_r))
     header = ["n", "mean_distortion", "std", "d_of_r", "gap"]
     return Outputs({

@@ -273,12 +273,11 @@ def simulate_ensemble(
     Each trial draws a fresh code; the source n-tuple is redrawn per trial
     unless fixed_sequence is set, in which case one sequence is held across
     code redraws (the faithful test of the per-individual-sequence claim).
-    Below PRUNE_MIN_LEAVES leaves each block of at most model.BLOCK_CELLS
-    leaves is one encode_exact of a block of codes, one trial a row; larger
-    trees are encoded one trial at a time.
+    run_trials hands over blocks of at most model.BLOCK_CELLS leaves, at least
+    one trial; below PRUNE_MIN_LEAVES leaves a block is one encode_exact of a
+    block of codes, one trial a row; larger trees are encoded one at a time.
     """
     shape = TreeShape(d=d, n=n)
-    size = max(1, model.BLOCK_CELLS // shape.num_walks)  # trials a block encodes
 
     def block(ts: np.ndarray, seeds: np.ndarray):
         keys = (0 * ts if fixed_sequence else ts)[:, None]
@@ -287,5 +286,4 @@ def simulate_ensemble(
             return [encode_exact(TreeCode(seed, Q, shape), row, rho).per_symbol_mean for seed, row in zip(seeds, x)]
         return encode_exact(TreeCode(seeds[:, None], Q, shape), x, rho).per_symbol_mean
 
-    return run_trials(lambda ts, seeds: np.concatenate([block(ts[k : k + size], seeds[k : k + size])
-                                                        for k in range(0, trials, size)]), trials, master_seed)
+    return run_trials(block, trials, master_seed, max(1, model.BLOCK_CELLS // shape.num_walks))

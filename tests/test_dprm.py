@@ -409,11 +409,11 @@ def test_grid_cell_equals_single_cell():
 
 
 def test_run_trials_scalar_stats_are_plain_reductions():
-    stats = run_trials(lambda ts, seeds: [math.sin(seed % 1000) for seed in seeds], 37, 5)
+    stats = run_trials(lambda ts, seeds: [math.sin(seed % 1000) for seed in seeds], 37, 5, 37)
     assert stats.values.shape == (37,)
     assert stats.mean == float(stats.values.mean())
     assert stats.std == float(stats.values.std(ddof=1))
-    assert run_trials(lambda ts, seeds: [1.5], 1, 5).std == 0.0
+    assert run_trials(lambda ts, seeds: [1.5], 1, 5, 1).std == 0.0
 
 
 def test_run_trials_hands_over_every_trial_and_its_child_seed_at_once():
@@ -423,12 +423,12 @@ def test_run_trials_hands_over_every_trial_and_its_child_seed_at_once():
         calls.append((ts.tolist(), seeds.tolist()))
         return np.asarray(seeds, dtype=np.float64)
 
-    stats = run_trials(trials_fn, 4, 99)
+    stats = run_trials(trials_fn, 4, 99, 4)
     seeds = [int(hash64(99, TRIAL_STREAM, t)) for t in range(4)]
     assert calls == [([0, 1, 2, 3], seeds)]
     assert np.array_equal(stats.values, np.array(seeds, dtype=np.float64))
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        run_trials(trials_fn, 0, 99)
+        run_trials(trials_fn, 0, 99, 4)
     assert len(calls) == 1
 
 
@@ -437,7 +437,7 @@ def test_run_trials_derives_every_child_seed_in_one_hash64_call(monkeypatch):
     real = dprm.hash64
     monkeypatch.setattr(dprm, "hash64", lambda *keys: hashes.append(keys) or real(*keys))
     trials, master = 10**5, 2**63 + 5
-    run_trials(lambda ts, seeds: handed.append(seeds) or np.zeros(trials), trials, master)
+    run_trials(lambda ts, seeds: handed.append(seeds) or np.zeros(trials), trials, master, trials)
     assert len(hashes) == 1 and handed[0].dtype == np.uint64
     assert handed[0].tolist() == [int(hash64(master, TRIAL_STREAM, t)) for t in range(trials)]
 
@@ -447,11 +447,49 @@ def test_run_trials_holds_a_few_words_a_trial():
     trials = 10**6
     tracemalloc.start()
     try:
-        run_trials(lambda ts, seeds: np.zeros(trials), trials, 7)
+        run_trials(lambda ts, seeds: np.zeros(trials), trials, 7, trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 32 * trials
+
+
+def test_run_trials_refuses_a_count_other_than_the_trials_handed_over():
+    for block in (1, 5):
+        with pytest.raises(ValueError, match=rf"shape \(2,\) for {block} trials"):
+            run_trials(lambda ts, seeds: [1.0, 2.0], 5, 0, block)
+    with pytest.raises(ValueError, match=r"shape \(1,\) for 5 trials"):  # not broadcast over the block
+        run_trials(lambda ts, seeds: [1.0], 5, 0, 5)
+    with pytest.raises(ValueError, match=r"shape \(3, 2\) for 5 trials"):
+        run_trials(lambda ts, seeds: np.ones((3, 2)), 5, 0, 5)
+    with pytest.raises(ValueError, match=r"shape \(2, 3\) for 2 trials of shape \(2,\)"):  # cells change
+        run_trials(lambda ts, seeds: np.ones((2, 2 + int(ts[0] > 0))), 5, 0, 2)
+    with pytest.raises(ValueError, match="block too"):
+        run_trials(lambda ts, seeds: seeds, 5, 0, 0)
+
+
+def test_run_trials_blocks_give_the_bytes_of_one_block(monkeypatch):
+    hashes, calls = [], []
+    real = dprm.hash64
+    monkeypatch.setattr(dprm, "hash64", lambda *keys: hashes.append(keys) or real(*keys))
+
+    def trials_fn(ts, seeds):  # two cells a trial
+        calls.append(ts.tolist())
+        return np.stack([np.sin(seeds % 1000.0), np.cos(ts * 0.7)], axis=1)
+
+    trials, runs = 11, {}
+    for block in (1, 3, trials):
+        hashes.clear()
+        calls.clear()
+        runs[block] = run_trials(trials_fn, trials, 2024, block)
+        starts = range(0, trials, block)
+        assert calls == [list(range(k, min(k + block, trials))) for k in starts]
+        assert len(hashes) == len(calls)
+    one = runs[trials]
+    assert one.values.shape == (trials, 2) and one.mean.shape == one.std.shape == (2,)
+    for stats in runs.values():
+        assert stats.values.tobytes() == one.values.tobytes()
+        assert [v.hex() for v in [*stats.mean, *stats.std]] == [v.hex() for v in [*one.mean, *one.std]]
 
 
 def test_monte_carlo_matches_annealed_curve():
@@ -466,6 +504,7 @@ def test_ground_state_mean_matches_exact_minimum_law():
         lambda ts, seeds: [ground_state(BranchEnergyOracle(seed, dist, TreeShape(d=d, n=n)))[1] for seed in seeds],
         trials,
         31415,
+        trials,
     )
     means, sds = tree_minimum_moments(values, probs, d, n)
     assert abs(stats.mean - means[n]) <= 3 * sds[n] / math.sqrt(trials)

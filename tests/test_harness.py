@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycodec import decode_sequential, read_bitstream, TreeCode, TreeShape, DistortionMatrix
-from cayleycodec import EnergyDistribution, monte_carlo_free_energy
+from cayleycodec import EnergyDistribution, monte_carlo_free_energy, simulate_ensemble
+from cayleycodec import dprm
 from cayleycodec.model import CodingDistribution
 from cayleycodec.cli import main
 from cayleycodec.theory import BETA_MAX
@@ -860,24 +861,44 @@ def test_dprm_converge_refuses_a_sweep_past_half_of_physical_memory():
 
 
 def trial_bytes(raw):
-    """The parser's bound on run_trials' peak a trial: 192 bytes and 24 a cell for dprm-converge, else 320."""
-    if raw["kind"] != "dprm-converge":
-        return 320
-    return 192 + 24 * len(raw["shape"]["n_list"]) * len(raw["beta_grid"])
+    """The parser's bound on run_trials' peak a trial: dprm's rule, at |n_list| x |beta_grid| cells for
+    dprm-converge and one cell for the ensemble kinds."""
+    cells = len(raw["shape"]["n_list"]) * len(raw["beta_grid"]) if raw["kind"] == "dprm-converge" else 1
+    return dprm.trial_bytes(cells)
 
 
-@pytest.mark.parametrize("ns, betas", [([1], [1.0]), ([1, 2, 3], [0.5, 1.2, 3.0])])
-def test_trial_bound_covers_the_measured_peak(ns, betas):
-    # 195 and 324 bytes a trial measured at 1 and 9 cells; the trees are tiny, so the held values dominate
-    trials, law = 500, EnergyDistribution.gaussian(0.0, 1.0)
-    monte_carlo_free_energy(2, ns, law, betas, 2, 0)  # imports scipy.special and builds the law's cdf outside the count
+def traced_peak(run):
+    """The traced peak of run() above what it leaves allocated: CPython's free
+    lists keep what a run frees up to a fixed count, which is no trial's cost."""
     tracemalloc.start()
     try:
-        monte_carlo_free_energy(2, ns, law, betas, trials, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        current, peak = tracemalloc.get_traced_memory()
+        return peak - current
     finally:
         tracemalloc.stop()
-    assert peak <= trials * trial_bytes(converge_config(shape={"d": 2, "n_list": ns}, beta_grid=betas))
+
+
+@pytest.mark.parametrize("ns, betas", [
+    ([1], [1.0]),
+    ([1, 2, 3], [0.5, 1.2, 3.0]),
+    (list(range(1, 11)), [0.1 * k for k in range(1, 31)]),
+    (None, None),  # ensemble, Hamming-4 at (2, 12): 256 trials a block
+])
+def test_trial_bound_covers_the_measured_peak(ns, betas):
+    # The slope of the peak over two trial counts, so the per-block workspace cancels: 8, 136 and 4,792
+    # bytes a trial measured at 1, 9 and 300 cells, 8 for the ensemble.  Past one cell, both counts give
+    # std at least 8,192 cells: its broadcast subtraction takes a numpy buffer of up to that many.
+    if ns is None:
+        counts, u4, raw = (512, 1536), CodingDistribution([0.25] * 4), FULL_CONFIGS["ensemble"]
+        run = lambda t: simulate_ensemble(u4, u4, DistortionMatrix.hamming(4), 2, 12, t, 0)  # noqa: E731
+    else:
+        counts = {1: (100, 500), 9: (1000, 1500), 300: (30, 60)}[len(ns) * len(betas)]
+        law, raw = EnergyDistribution.gaussian(0.0, 1.0), converge_config(shape={"d": 2, "n_list": ns}, beta_grid=betas)
+        run = lambda t: monte_carlo_free_energy(2, ns, law, betas, t, 0)  # noqa: E731
+    run(2)  # imports scipy.special and builds the law's cdf outside the count
+    peaks = [traced_peak(lambda: run(t)) for t in counts]
+    assert peaks[1] - peaks[0] <= (counts[1] - counts[0]) * trial_bytes(raw)
 
 
 @pytest.mark.parametrize("kind", ["dprm-converge", "ensemble", "verify-theorem"])

@@ -55,3 +55,14 @@ def test_bench_summary_of_canned_runs():
     assert (cycle["pairs_won"], cycle["pairs"]) == (3, 5)  # lower wins; the tie in pair 2 is not a win
     rss = out["metrics"]["peak_rss_mb"]
     assert (rss["base_iqr"], rss["pairs_won"], rss["better"]) == (0.0, 2, "higher")
+
+
+def test_bench_reads_tier1_counts_off_the_pytest_summary():
+    bench = load_script("bench")
+    passed = "....  [100%]\n== slowest 10 durations ==\n3.47s call tests/test_a.py::test_b\n467 passed in 28.13s\n"
+    assert bench.tier1_counts(passed) == {"passed": 467}
+    mixed = ("FAILED tests/test_a.py::test_c - 2 passed in a message\n"
+             "2 failed, 465 passed, 1 skipped, 1 error in 30.50s\n")
+    assert bench.tier1_counts(mixed) == {"failed": 2, "passed": 465, "skipped": 1, "error": 1}
+    assert bench.tier1_counts("3 errors in 0.40s") == {"error": 3}
+    assert bench.tier1_counts("") == {}

@@ -771,7 +771,7 @@ def test_exact_totals_at_n24_follow_the_tree_minimum_law_and_bound_the_beam():
         code = TreeCode(seed, Q4, TreeShape(2, n))
         return [encode_exact(code, x, HAMMING4).total_distortion, encode_beam(code, x, HAMMING4, 8).total_distortion]
 
-    exact, beam = run_trials(lambda ts, seeds: [trial(seed) for seed in seeds], trials, MC_SEED).values.T
+    exact, beam = run_trials(lambda ts, seeds: [trial(seed) for seed in seeds], trials, MC_SEED, trials).values.T
     assert np.all(beam >= exact)
     law = tree_minimum_pmf(HAMMING4.values[0], Q4.probs, 2, n)[n]
     # chi-square over neighbouring totals merged until each bin expects at least 5 trials
