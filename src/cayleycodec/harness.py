@@ -210,8 +210,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class Outputs:
     """What a run produced, for run_experiment to write: the summary payload,
-    CSV tables as {file name: (header, rows)}, encode's (path, code, stream)
-    and the exit code."""
+    CSV tables as {file name: (header, rows)}, where rows may be an iterator
+    read once, encode's (path, code, stream) and the exit code."""
 
     summary: dict
     tables: dict = field(default_factory=dict)
@@ -320,8 +320,11 @@ def run_rd_curve(cfg: ExperimentConfig) -> Outputs:
 def run_ensemble(cfg: ExperimentConfig) -> Outputs:
     # the bound D0 exists only under the symmetry hypothesis; SymmetryError otherwise
     limit = theory.FreeEnergyLimit.for_distribution(symmetric_energy_law(cfg.coding, cfg.distortion), cfg.d)
-    stats = treecode.simulate_ensemble(cfg.source, cfg.coding, cfg.distortion, cfg.d, cfg.n, cfg.trials,
-                                       cfg.master_seed, fixed_sequence=cfg.fixed_sequence)
+    stats = treecode.simulate_ensemble(
+        cfg.source, cfg.coding, cfg.distortion,
+        cfg.d, cfg.n, cfg.trials, cfg.master_seed,
+        fixed_sequence=cfg.fixed_sequence,
+    )
     return Outputs({
         "master_seed": cfg.master_seed,
         "d": cfg.d,
@@ -333,8 +336,7 @@ def run_ensemble(cfg: ExperimentConfig) -> Outputs:
         "d0": limit.d0,
         "d0_degenerate": not limit.frozen_phase_exists,
         "gap": stats.mean - limit.d0,
-    }, {"ensemble.csv": (["trial", "mean_distortion"],
-                         [(t, float(v)) for t, v in enumerate(stats.values)])})
+    }, {"ensemble.csv": (["trial", "mean_distortion"], enumerate(stats.values))})  # streamed: no row held a trial
 
 
 def run_verify_theorem(cfg: ExperimentConfig) -> Outputs:
@@ -344,8 +346,11 @@ def run_verify_theorem(cfg: ExperimentConfig) -> Outputs:
     rows = []
     if report.applicable:
         for n in cfg.n_list:
-            stats = treecode.simulate_ensemble(cfg.source, report.point.Q_star, cfg.distortion, cfg.d, n,
-                                               cfg.trials, cfg.master_seed, fixed_sequence=cfg.fixed_sequence)
+            stats = treecode.simulate_ensemble(
+                cfg.source, report.point.Q_star, cfg.distortion,
+                cfg.d, n, cfg.trials, cfg.master_seed,
+                fixed_sequence=cfg.fixed_sequence,
+            )
             rows.append((n, stats.mean, stats.std, report.d_of_r, stats.mean - report.d_of_r))
     header = ["n", "mean_distortion", "std", "d_of_r", "gap"]
     return Outputs({

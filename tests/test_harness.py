@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycodec import decode_sequential, read_bitstream, TreeCode, TreeShape, DistortionMatrix
-from cayleycodec import EnergyDistribution, monte_carlo_free_energy, simulate_ensemble
-from cayleycodec import dprm
+from cayleycodec import EnergyDistribution, monte_carlo_free_energy
+from cayleycodec import dprm, model
 from cayleycodec.model import CodingDistribution
 from cayleycodec.cli import main
 from cayleycodec.theory import BETA_MAX
@@ -867,38 +867,50 @@ def trial_bytes(raw):
     return dprm.trial_bytes(cells)
 
 
-def traced_peak(run):
-    """The traced peak of run() above what it leaves allocated: CPython's free
-    lists keep what a run frees up to a fixed count, which is no trial's cost."""
-    tracemalloc.start()
-    try:
-        run()
-        current, peak = tracemalloc.get_traced_memory()
-        return peak - current
-    finally:
-        tracemalloc.stop()
+def peak_slope(run, counts):
+    """The slope of tracemalloc's peak over run(t) between two trial counts, so the per-block workspace cancels."""
+    # A run adds a tuple or two a trial to CPython's free list of freed tuples until it holds 2,000 of a length,
+    # a bounded cost that would show in the slope below about 1,000 trials; a 2,000-trial run fills it first.
+    monte_carlo_free_energy(2, [1], EnergyDistribution.gaussian(0.0, 1.0), [1.0], 2000, 1)
+    run(2)  # imports scipy.special and builds the law's cdf outside the count
+    peaks = []
+    for t in counts:
+        tracemalloc.start()
+        try:
+            run(t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / (counts[1] - counts[0])
 
 
 @pytest.mark.parametrize("ns, betas", [
     ([1], [1.0]),
     ([1, 2, 3], [0.5, 1.2, 3.0]),
     (list(range(1, 11)), [0.1 * k for k in range(1, 31)]),
-    (None, None),  # ensemble, Hamming-4 at (2, 12): 256 trials a block
 ])
 def test_trial_bound_covers_the_measured_peak(ns, betas):
-    # The slope of the peak over two trial counts, so the per-block workspace cancels: 8, 136 and 4,792
-    # bytes a trial measured at 1, 9 and 300 cells, 8 for the ensemble.  Past one cell, both counts give
-    # std at least 8,192 cells: its broadcast subtraction takes a numpy buffer of up to that many.
-    if ns is None:
-        counts, u4, raw = (512, 1536), CodingDistribution([0.25] * 4), FULL_CONFIGS["ensemble"]
-        run = lambda t: simulate_ensemble(u4, u4, DistortionMatrix.hamming(4), 2, 12, t, 0)  # noqa: E731
-    else:
-        counts = {1: (100, 500), 9: (1000, 1500), 300: (30, 60)}[len(ns) * len(betas)]
-        law, raw = EnergyDistribution.gaussian(0.0, 1.0), converge_config(shape={"d": 2, "n_list": ns}, beta_grid=betas)
-        run = lambda t: monte_carlo_free_energy(2, ns, law, betas, t, 0)  # noqa: E731
-    run(2)  # imports scipy.special and builds the law's cdf outside the count
-    peaks = [traced_peak(lambda: run(t)) for t in counts]
-    assert peaks[1] - peaks[0] <= (counts[1] - counts[0]) * trial_bytes(raw)
+    # 16, 135 and 4,770 bytes a trial measured at 1, 9 and 300 cells.  Past one cell, both counts give std at least
+    # 8,192 cells: its broadcast subtraction takes a numpy buffer of up to that many.  run_dprm_converge holds one
+    # row a cell besides the trials, so they run alone.
+    counts = {1: (500, 2500), 9: (1000, 1500), 300: (30, 60)}[len(ns) * len(betas)]
+    law, raw = EnergyDistribution.gaussian(0.0, 1.0), converge_config(shape={"d": 2, "n_list": ns}, beta_grid=betas)
+    assert peak_slope(lambda t: monte_carlo_free_energy(2, ns, law, betas, t, 0), counts) <= trial_bytes(raw)
+
+
+@pytest.mark.parametrize("kind, shape, block_cells, counts", [
+    ("ensemble", {"n": 12}, model.BLOCK_CELLS, (512, 1536)),
+    ("ensemble", {"n": 4}, 4096, (2000, 6000)),
+    ("verify-theorem", {"n_list": [3, 4]}, 4096, (2000, 6000)),
+])
+def test_trial_bound_covers_an_ensemble_run_with_its_outputs(tmp_path, monkeypatch, kind, shape, block_cells, counts):
+    # run_experiment whole, CSV rows included: 8 bytes a trial measured for the ensemble (at (2, 12), 256 trials a
+    # block) and 16 for verify-theorem, which holds the first n's values while the second n runs.  Blocks of 4,096
+    # cells keep the encoder's workspace below what a few thousand trials hold, so a row held a trial would show.
+    monkeypatch.setattr(model, "BLOCK_CELLS", block_cells)
+    raw = FULL_CONFIGS[kind] | {"shape": {"d": 2, **shape}, "fixed_sequence": False}
+    run = lambda t: run_experiment(ExperimentConfig.from_dict(raw | {"trials": t}), str(tmp_path))  # noqa: E731
+    assert peak_slope(run, counts) <= trial_bytes(raw)
 
 
 @pytest.mark.parametrize("kind", ["dprm-converge", "ensemble", "verify-theorem"])
