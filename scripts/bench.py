@@ -10,8 +10,10 @@ one run of each side a pair, the base first in odd pairs and second in even
 ones, so a slow spell of a shared host hits both sides alike.  `run.py` imports the
 package from its own tree's `src/`, so each side runs its own code.  For each
 workload and each end-to-end metric that BENCHMARK.json lists, it writes
-every value, the two medians, the base's interquartile range and the pairs
-the working tree won to BENCH_<label>.json at the repository root.  It also
+every value, the two medians, the base's interquartile range, how much worse
+the change's median is as a fraction of the base's (`worse_by`, to set beside
+the metric's `bound`) and the pairs the working tree won to BENCH_<label>.json
+at the repository root.  It also
 records one tier-1 run of each side (wall time and pytest's outcome counts)
 and one seed-0 `--trace 1` run of each workload on the working tree, for the
 per-layer metrics and the probe rows.
@@ -70,10 +72,11 @@ def summarize(runs: dict, metrics: list) -> dict:
             base, change = ([r["metrics"][m["name"]]["value"] for r in results[s]] for s in ("base", "change"))
             q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
             sign = 1 if m["better"] == "lower" else -1
+            base_median, change_median = statistics.median(base), statistics.median(change)
             summary["metrics"][m["name"]] = {
                 "unit": m["unit"], "better": m["better"], "base": base, "change": change,
-                "base_median": statistics.median(base), "change_median": statistics.median(change),
-                "base_iqr": q3 - q1,
+                "base_median": base_median, "change_median": change_median,
+                "base_iqr": q3 - q1, "worse_by": sign * (change_median - base_median) / base_median,
                 "pairs_won": sum(sign * (c - b) < 0 for b, c in zip(base, change)), "pairs": len(base),
             }
         out[workload] = summary

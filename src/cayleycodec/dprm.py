@@ -11,11 +11,11 @@ reads ln Z at every requested level and beta (a log-sum-exp shifted by the
 minimum path energy, so large beta does not underflow) and returns the last
 level's path energies, off which <E> and the ground state are read.
 
-A sweep works on one tree, in one float64 block of (3 + 1/d) d^n cells (the
-draws' scratch, P at even and odd distance from n, the log-sum-exp weights), by
-numpy out= steps in the allocating order, so the bits are those of fresh arrays.
-One block, not four arrays: once it is freed, glibc's mmap and trim thresholds
-rise to its size and twice that, so later sweeps reuse heap pages, not fresh ones.
+A sweep works on one tree in one float64 block of two d^n-cell rows: generation
+i draws e_i and sums P_i over them in row i mod 2, and the other row, P_{i-1}'s,
+takes the log-sum-exp weights.  Its numpy out= steps keep the allocating order,
+so the bits are those of fresh arrays.  Once the block is freed, glibc's mmap and
+trim thresholds rise to its size and twice that, so later sweeps reuse heap pages.
 """
 
 from __future__ import annotations
@@ -95,8 +95,9 @@ def tree_sweep(energy_fn: Callable[..., np.ndarray], shape: TreeShape, betas=(),
                levels=None) -> tuple[np.ndarray, np.ndarray]:
     """One top-down pass over the path energies P_i = repeat(P_{i-1}, d) + e_i
     in leaf order, where energy_fn(i, out) gives the d^i energies e_i of
-    generation i in branch order, in the d^i-cell scratch array out or in an
-    array of its own.  P_0 = 0, so each walk sums left to right: (e_1 + e_2) + ...
+    generation i in branch order, in the d^i cells out, where P_i is summed over
+    them, or in an array of its own, left as it was.  P_0 = 0, so each walk sums
+    left to right: (e_1 + e_2) + ...
 
     Returns ln Z_k(beta) = ln sum exp(-beta P_k), shifted by min P_k, indexed
     [level, beta] over each k in `levels` (default: n) and each finite beta > 0,
@@ -110,21 +111,18 @@ def tree_sweep(energy_fn: Callable[..., np.ndarray], shape: TreeShape, betas=(),
     if not all(1 <= k <= shape.n for k in levels):
         raise ValueError(f"levels {levels} must lie in 1..n={shape.n}")
     d, n, path = shape.d, shape.n, np.zeros(1)
-    sizes = np.array([d**n, d**n, d ** (n - 1), d**n])  # scratch, P at even and odd n - i, weights
-    scratch, even, odd, weights = np.split(np.empty(sizes.sum()), np.cumsum(sizes[:-1]))
+    block = np.empty((2, d**n))  # generation i works in row i % 2, P_{i-1} lies in the other
     log_z = np.empty((len(levels), betas.size))
     for i in range(1, n + 1):
-        e = energy_fn(i, scratch[: d**i])
-        out = (odd if (n - i) % 2 else even)[: d**i].reshape(-1, d)  # P_{i-1} lies in the other region
-        path = np.add(path[:, None], e.reshape(-1, d), out=out).reshape(d**i)
+        here, spent = block[i % 2, : d**i], block[1 - i % 2, : d**i]
+        path = np.add(path[:, None], energy_fn(i, here).reshape(-1, d), out=here.reshape(-1, d)).reshape(d**i)
         rows = [r for r, k in enumerate(levels) if k == i]
         if not rows or not betas.size:
             continue
         p_min = path.min()
-        excess = np.subtract(path, p_min, out=scratch[: d**i])  # e_i is spent
-        w = weights[: d**i]
-        for c, beta in enumerate(betas):
-            log_z[rows, c] = np.log(np.exp(np.multiply(excess, -beta, out=w), out=w).sum()) - beta * p_min
+        for c, beta in enumerate(betas):  # P_{i-1} is spent: each beta's weights go in its row
+            w = np.subtract(path, p_min, out=spent)
+            log_z[rows, c] = np.log(np.exp(np.multiply(w, -beta, out=w), out=w).sum()) - beta * p_min
     return log_z, path
 
 

@@ -189,7 +189,7 @@ class ExperimentConfig:
         width = min(cfg.beam_width, cfg.d ** min(cfg.n - 1, 64)) if cfg.beam_width else 0
         if width > MAX_BEAM_WIDTH:
             raise ConfigError(f"beam_width: a beam {width} wide, min(beam_width, d^(n-1)), exceeds {MAX_BEAM_WIDTH}")
-        # a sweep to n peaks at its (3 + 1/d) d^n-cell block and a d^n temporary, <= 36 d^n bytes; n > 64 fails first
+        # a sweep to n peaks at 24 d^n bytes (2 d^n-cell block, d^n temporary); 36 keeps a margin; n > 64 fails first
         n = max(cfg.n_list, default=0)
         if kind == "dprm-converge" and (n > 64 or 36 * cfg.d**n > treecode.MEMORY_BUDGET):
             raise ConfigError(f"shape.n_list: a sweep to n = {n} at d = {cfg.d} needs about 36 d^n bytes, "
@@ -344,14 +344,14 @@ def run_verify_theorem(cfg: ExperimentConfig) -> Outputs:
     an ensemble gap trajectory over increasing n."""
     report = rd.verify_d0_equals_d(cfg.source, cfg.distortion, cfg.d)
     rows = []
-    if report.applicable:
-        for n in cfg.n_list:
-            stats = treecode.simulate_ensemble(
-                cfg.source, report.point.Q_star, cfg.distortion,
-                cfg.d, n, cfg.trials, cfg.master_seed,
-                fixed_sequence=cfg.fixed_sequence,
-            )
-            rows.append((n, stats.mean, stats.std, report.d_of_r, stats.mean - report.d_of_r))
+    for n in cfg.n_list if report.applicable else ():
+        stats = treecode.simulate_ensemble(
+            cfg.source, report.point.Q_star, cfg.distortion,
+            cfg.d, n, cfg.trials, cfg.master_seed,
+            fixed_sequence=cfg.fixed_sequence,
+        )
+        rows.append((n, stats.mean, stats.std, report.d_of_r, stats.mean - report.d_of_r))
+        del stats  # so the next n's run holds its own values only
     header = ["n", "mean_distortion", "std", "d_of_r", "gap"]
     return Outputs({
         "master_seed": cfg.master_seed,

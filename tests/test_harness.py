@@ -904,13 +904,15 @@ def test_trial_bound_covers_the_measured_peak(ns, betas):
     ("verify-theorem", {"n_list": [3, 4]}, 4096, (2000, 6000)),
 ])
 def test_trial_bound_covers_an_ensemble_run_with_its_outputs(tmp_path, monkeypatch, kind, shape, block_cells, counts):
-    # run_experiment whole, CSV rows included: 8 bytes a trial measured for the ensemble (at (2, 12), 256 trials a
-    # block) and 16 for verify-theorem, which holds the first n's values while the second n runs.  Blocks of 4,096
-    # cells keep the encoder's workspace below what a few thousand trials hold, so a row held a trial would show.
+    # run_experiment whole, CSV rows included: 7 to 8 bytes a trial measured for the ensemble (at (2, 12), 256 trials
+    # a block) and 8 for verify-theorem, which lets the first n's values go before the second n runs; at 12, one
+    # earlier n's values held would show.  Blocks of 4,096 cells keep the encoder's workspace below what a few
+    # thousand trials hold, so a row held a trial would show too.
     monkeypatch.setattr(model, "BLOCK_CELLS", block_cells)
     raw = FULL_CONFIGS[kind] | {"shape": {"d": 2, **shape}, "fixed_sequence": False}
     run = lambda t: run_experiment(ExperimentConfig.from_dict(raw | {"trials": t}), str(tmp_path))  # noqa: E731
-    assert peak_slope(run, counts) <= trial_bytes(raw)
+    slope = peak_slope(run, counts)
+    assert slope <= trial_bytes(raw) and slope <= 12
 
 
 @pytest.mark.parametrize("kind", ["dprm-converge", "ensemble", "verify-theorem"])

@@ -53,8 +53,13 @@ def test_bench_summary_of_canned_runs():
     assert (cycle["base_median"], cycle["change_median"]) == (12.0, 10.0)
     assert cycle["base_iqr"] == 13.0 - 11.0  # inclusive quartiles of the base runs
     assert (cycle["pairs_won"], cycle["pairs"]) == (3, 5)  # lower wins; the tie in pair 2 is not a win
+    assert cycle["worse_by"] == (10.0 - 12.0) / 12.0  # negative: the change's median is better
     rss = out["metrics"]["peak_rss_mb"]
     assert (rss["base_iqr"], rss["pairs_won"], rss["better"]) == (0.0, 2, "higher")
+    assert rss["worse_by"] == 0.0
+    worse = bench.summarize({"w": {"base": base, "change": [canned(12.0, 4.0)] * 5}}, metrics)["w"]["metrics"]
+    assert worse["peak_rss_mb"]["worse_by"] == 0.2  # higher is better, so 4 against 5 is a fifth worse
+    assert worse["cycle_best_ms"]["worse_by"] == 0.0
 
 
 def test_bench_reads_tier1_counts_off_the_pytest_summary():
