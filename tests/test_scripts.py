@@ -4,6 +4,7 @@ fails the suite.  Without matplotlib both skip their figure."""
 import csv
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -71,3 +72,27 @@ def test_bench_reads_tier1_counts_off_the_pytest_summary():
     assert bench.tier1_counts(mixed) == {"failed": 2, "passed": 465, "skipped": 1, "error": 1}
     assert bench.tier1_counts("3 errors in 0.40s") == {"error": 3}
     assert bench.tier1_counts("") == {}
+
+
+def test_bench_extracts_the_working_tree_files_git_lists(tmp_path):
+    bench = load_script("bench")
+    repo = tmp_path / "repo"
+    (repo / "src" / "pkg").mkdir(parents=True)
+    git = lambda *a: subprocess.run(["git", *a], cwd=repo, capture_output=True, check=True)
+    git("init", "-q")
+    files = {"kept.py": "tracked, edited", "src/pkg/mod.py": "tracked", "gone.py": "tracked, then deleted",
+             "new.py": "untracked", "out.log": "ignored", "build/obj.o": "ignored directory",
+             ".gitignore": "*.log\nbuild/\n"}
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    git("add", "kept.py", "src/pkg/mod.py", "gone.py", ".gitignore")
+    (repo / "kept.py").write_text("edited after git add")
+    (repo / "gone.py").unlink()
+    want = [".gitignore", "kept.py", "new.py", "src/pkg/mod.py"]
+    assert bench.tree_files(repo) == want
+    bench.extract(repo, None, tmp_path / "work")
+    got = sorted(str(f.relative_to(tmp_path / "work")) for f in (tmp_path / "work").rglob("*") if f.is_file())
+    assert got == want
+    assert (tmp_path / "work" / "kept.py").read_text() == "edited after git add"  # the tree's bytes, not the index's
+    assert len(set(bench.SIDES.values())) == 2 and len({len(name) for name in bench.SIDES.values()}) == 1
