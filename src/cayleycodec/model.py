@@ -23,6 +23,8 @@ VALUE_MERGE_TOL = 1e-9
 SYMMETRY_TOL = 1e-6
 # Cells in one block of a batched engine's arrays (beam, Blahut-Arimoto); read at call time
 BLOCK_CELLS = 1 << 20
+# Bytes of one slice's temporaries in a discrete draw, its comparison mask and its indices; read at call time
+DRAW_SLICE_BYTES = 1 << 18
 
 
 class SymmetryError(ValueError):
@@ -44,17 +46,29 @@ def _validated_pmf(probs, what: str) -> np.ndarray:
     return p
 
 
-# a law's cumsum and its last letter of positive mass, built on its first draw; Pmf and EnergyDistribution share it
-_law_cdf = cached_property(lambda law: (np.cumsum(law.probs), int(np.flatnonzero(law.probs)[-1])))
+# a law's cumsum before its last letter of positive mass, a column, built on its first draw; both law types use it
+_law_cdf = cached_property(lambda law: np.cumsum(law.probs)[:np.flatnonzero(law.probs)[-1], None])
 
 
-def _inverse_transform(cdf: tuple[np.ndarray, int], u) -> np.ndarray:
-    """Indices drawn by inverse transform from uniforms in (0,1).  The cumsum
-    can end a rounding error below 1, so the index is clamped to the last
-    letter of positive mass: a u past the cumsum never draws a zero-mass letter."""
-    cum, top = cdf
-    idx = np.searchsorted(cum, np.asarray(u), side="right")
-    return np.minimum(idx, top, out=idx if isinstance(idx, np.ndarray) else None)
+def _inverse_transform(cdf: np.ndarray, u, values=None, out=None) -> np.ndarray:
+    """Indices drawn by inverse transform from uniforms u in (0,1), or values at
+    them, into out if given (u itself may be out).  An index is the count of
+    cdf entries at or below u: where a search of the whole cumsum lands, clamped
+    to the last letter of positive mass, since the cumsum can end a rounding
+    error below 1 and a u past it must not draw a zero-mass letter.  That is one
+    comparison a letter, in slices whose mask and indices take DRAW_SLICE_BYTES."""
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous, so that its flat view is its own memory")
+    u = np.asarray(u)
+    got = np.empty(u.shape, np.int64 if values is None else np.float64) if out is None else out
+    flat, u, step = got.ravel(), u.ravel(), DRAW_SLICE_BYTES // (cdf.size + 8) or 1
+    for start in range(0, u.size, step):  # the reduce's arguments go by position: keywords cost a small draw a tenth
+        part = slice(start, start + step)
+        if values is None:
+            np.add.reduce(u[part] >= cdf, 0, np.intp, flat[part])
+        else:  # the slice's indices go once taken; "clip" never clips here, but unlike "raise" writes out unbuffered
+            np.take(values, np.add.reduce(u[part] >= cdf, 0, np.intp), out=flat[part], mode="clip")
+    return got if got.ndim else got[()]
 
 
 @dataclass(frozen=True)
@@ -75,7 +89,7 @@ class Pmf:
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Inverse-transform letters from uniforms in (0,1)."""
-        return _inverse_transform(self._cdf, u).astype(np.int64, copy=False)
+        return _inverse_transform(self._cdf, u)
 
 
 # the source and coding laws are both a Pmf; perfbench/ and the tests still use these two names
@@ -167,8 +181,8 @@ class EnergyDistribution:
 
     def sample(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse-transform draws from uniforms in (0,1), into out if given (u itself may be out)."""
-        if self.kind == "discrete":  # "clip" never clips here, but unlike "raise" writes out unbuffered
-            return np.take(self.values, _inverse_transform(self._cdf, u), out=out, mode="clip")
+        if self.kind == "discrete":
+            return _inverse_transform(self._cdf, u, self.values, out)
         from scipy.special import ndtri  # imported here, so that a codec process never loads scipy
 
         # mean + std * ndtri(u), steps in out if given: IEEE + and * commute, so the bits are the same

@@ -10,6 +10,8 @@ while any single draw stays randomly accessible.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -23,6 +25,7 @@ ENERGY_STREAM = 0x7E52B8A1C64D93F0
 CODEBOOK_STREAM = 0x1F83D9ABFB41BD6B
 SOURCE_STREAM = 0xA54FF53A5F1D36F1
 TRIAL_STREAM = 0x510E527FADE682D1
+_NO_ERRSTATE = nullcontext()  # what hash64 enters for array keys, whose arithmetic never warns
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
@@ -49,12 +52,13 @@ def hash64(*keys, out=None) -> np.ndarray:
     Scalar keys give a np.uint64; a single array key (conventionally the
     last) broadcasts, giving one hash per element.  Leading int keys fold in
     Python ints, the rest in uint64 arrays from the first array key on, in out if given.
+    Only a 0-d key there leaves numpy scalars, which warn on wrap-around, so only it pays for np.errstate.
     """
     h, i = 0, 0
     while i < len(keys) and isinstance(keys[i], (int, np.integer)):
         h, i = _finalize_int(h ^ (int(keys[i]) & _MASK64)), i + 1
     h = np.uint64(h)
-    with np.errstate(over="ignore"):  # a 0-d array key gives numpy scalars, which warn on wrap-around
+    with np.errstate(over="ignore") if i < len(keys) and np.ndim(keys[i]) == 0 else _NO_ERRSTATE:
         for k in keys[i:]:
             h = _finalize(np.bitwise_xor(h, np.asarray(k).astype(np.uint64, copy=False), out=out))
     return h

@@ -4,9 +4,10 @@ The walk oracles enumerate all d^n walks explicitly; nothing is shared with
 the tree sweeps under test, not even the log-sum-exp primitive.  The two
 one-case-at-a-time loops, beam_pass, blahut_arimoto_loop and
 simulate_ensemble_loop, are the references for the batched engines; the
-last encodes one trial at a time.  hash64_numpy and beam_sweep_lexsort
-are the library's earlier numpy-scalar hash and lexsort beam sweep, the
-references for the ones that replaced them.
+last encodes one trial at a time.  hash64_numpy, beam_sweep_lexsort and
+inverse_transform_searchsorted are the library's earlier numpy-scalar hash,
+lexsort beam sweep and binary-search draw, the references for the ones that
+replaced them.
 """
 
 import numpy as np
@@ -103,6 +104,13 @@ def hash64_numpy(*keys):
             z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
             h = z ^ (z >> np.uint64(31))
     return h
+
+
+def inverse_transform_searchsorted(probs, u):
+    """Letters drawn from uniforms u by a binary search of the cumsum of probs,
+    clamped to the last letter of positive mass."""
+    idx = np.searchsorted(np.cumsum(probs), np.asarray(u), side="right")
+    return np.minimum(idx, np.flatnonzero(probs)[-1]).astype(np.int64)
 
 
 def beam_sweep_lexsort(code, x, rho, widths):

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from bruteforce import inverse_transform_searchsorted
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from cayleycodec import (
+    model,
     Pmf,
     DistortionMatrix,
     EnergyDistribution,
@@ -59,6 +63,75 @@ def test_pmf_sample_keeps_every_other_draw():
         clamped += int(massless.sum())
         assert np.array_equal(p.sample(u), np.where(massless, np.flatnonzero(p.probs)[-1], before))
     assert clamped > 0
+
+
+def random_pmf(rng) -> np.ndarray:
+    """Masses with zero-mass letters first, inside and last, trailing 1e-17 masses, or a wide alphabet."""
+    k = int(rng.choice([1, 2, 3, 4, 7, 64, 300], p=[0.1, 0.2, 0.2, 0.2, 0.15, 0.1, 0.05]))
+    probs = rng.dirichlet(np.full(k, float(rng.choice([0.3, 1.0, 5.0]))))
+    zeros = int(rng.integers(0, 4))
+    probs = np.insert(probs, rng.integers(0, k + 1, zeros), 0.0)  # first, inside or last
+    if rng.random() < 0.25:
+        probs = np.append(probs, [1e-17] * int(rng.integers(1, 3)))
+    if rng.random() < 0.25:
+        probs = np.append(probs, [0.0] * int(rng.integers(1, 3)))
+    return probs
+
+
+@pytest.mark.parametrize("slice_bytes, pmfs", [(None, 2000), (512, 250)], ids=["default", "small-slices"])
+def test_draws_equal_the_binary_search_bit_for_bit(monkeypatch, slice_bytes, pmfs):
+    if slice_bytes is not None:  # slices of one to a few dozen cells, so most draws cross slice edges
+        monkeypatch.setattr(model, "DRAW_SLICE_BYTES", slice_bytes)
+    rng = np.random.default_rng(31)
+    ends = {"above": 0, "below": 0, "at": 0}
+    for _ in range(pmfs):
+        pmf = Pmf(random_pmf(rng))
+        cum = np.cumsum(pmf.probs)
+        ends["above" if cum[-1] > 1 else "below" if cum[-1] < 1 else "at"] += 1
+        u = np.concatenate([rng.random(int(rng.integers(0, 40))), cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+                            [2.0**-54, 1.0 - 2.0**-53]])
+        u = rng.permutation(u)
+        want = inverse_transform_searchsorted(pmf.probs, u)
+        law = EnergyDistribution.discrete(rng.normal(size=pmf.alphabet_size), pmf.probs)
+        want_e = law.values[inverse_transform_searchsorted(law.probs, u)]
+        for shape in [(u.size,), (1, u.size), (u.size, 1)] + ([(2, u.size // 2)] if u.size % 2 == 0 else []):
+            got = pmf.sample(u.reshape(shape))
+            assert got.dtype == np.int64 and np.array_equal(got, want.reshape(shape))
+            got_e = law.sample(u.reshape(shape))
+            assert got_e.tobytes() == want_e.tobytes() and got_e.shape == shape
+            out, same = np.empty(shape), u.reshape(shape).copy()
+            assert law.sample(u.reshape(shape), out=out) is out and out.tobytes() == want_e.tobytes()
+            assert law.sample(same, out=same) is same and same.tobytes() == want_e.tobytes()
+        for x in (u[0], float(u[-1]), np.asarray(u[1])):  # numpy float, Python float and 0-d array
+            want_x = inverse_transform_searchsorted(pmf.probs, x)
+            got = pmf.sample(x)
+            assert type(got) is type(want_x) is np.int64 and got == want_x
+            got_e = law.sample(x)
+            assert type(got_e) is np.float64 and got_e == law.values[inverse_transform_searchsorted(law.probs, x)]
+    assert min(ends.values()) > 0  # cumsums that end above, below and at 1 all met
+    with pytest.raises(ValueError, match="C-contiguous"):  # a strided out's flat view would be a copy
+        law.sample(u, out=np.empty(2 * u.size)[::2])
+
+
+def test_draw_temporaries_stay_bounded():
+    # an unsliced draw from 256 letters would hold a 256 MB mask over 2^20 cells, and the energy draw
+    # a 2^20-cell index array beside out; a slice's mask and indices take at most model.DRAW_SLICE_BYTES, 256 KiB,
+    # and numpy's buffers for the count less than as much again
+    cells, fixed = 1 << 20, 512 * 1024
+    u = uniforms(5, ENERGY_STREAM, np.arange(cells, dtype=np.uint64))
+    pmf = Pmf(np.full(256, 1 / 256))
+    law = EnergyDistribution.discrete(np.arange(256.0), pmf.probs)
+    pmf.sample(u[:10]), law.sample(u[:10])  # each law's cdf is built outside the count
+    out = np.empty(cells)
+    for draw, held in [(lambda: pmf.sample(u), 8 * cells), (lambda: law.sample(u, out=out), 0)]:
+        tracemalloc.start()
+        try:
+            draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= held + fixed
+    assert np.array_equal(out, pmf.sample(u))
 
 
 def test_uniforms_stay_below_one(monkeypatch):

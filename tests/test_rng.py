@@ -13,6 +13,7 @@ from cayleycodec import rng
     (7, rng.CODEBOOK_STREAM, 2**70),
     (np.int64(-5), np.uint64(2**63 + 3), np.int64(9)),
     (1, np.array(5)),  # a 0-d array key gives numpy scalars, whose wrap-around warning pytest makes an error
+    (1, np.array(5), np.arange(3)),  # the 0-d key still folds in numpy scalars, before the array key
     (np.array(-3, dtype=np.int64), 2),
     (1, rng.ENERGY_STREAM, 4, np.arange(-3, 5, dtype=np.int64)),
     (3, np.arange(4, dtype=np.uint64) * np.uint64(2**62)),
